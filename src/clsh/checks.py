@@ -386,16 +386,17 @@ def builtin_catalog() -> list[EquationCheck]:
     return load_catalog(text)
 
 
+def checks_and_rules(checks: list[EquationCheck],
+                     expanded: bool) -> tuple[list[EquationCheck], RuleSet]:
+    """All the checks under FULL or, if expanded, the hypothesis-free ones
+    with derived atoms unfolded, under the base rules only."""
+    if not expanded:
+        return list(checks), FULL
+    return [e for c in checks if (e := expand_check(c)) is not None], CL_BASE
+
+
 def run_core_suite(max_steps: int = DEFAULT_MAX_STEPS,
                     expanded: bool = False) -> list[CheckReport]:
-    """Run the built-in catalog.  With expanded=True, rerun the hypothesis
-    free checks with derived atoms unfolded, under the base rules only."""
-    checks = builtin_catalog()
-    if not expanded:
-        return run_checks(checks, FULL, max_steps)
-    out = []
-    for c in checks:
-        e = expand_check(c)
-        if e is not None:
-            out.append(run_check(e, CL_BASE, max_steps))
-    return out
+    """Run the built-in catalog, as `clsh check [--expanded]` does."""
+    checks, rules = checks_and_rules(builtin_catalog(), expanded)
+    return run_checks(checks, rules, max_steps)

@@ -6,7 +6,8 @@
     clsh check             run an equation catalog
 
 Exit codes: 0 success, 1 a check failed, 2 bad input or usage, 3 a step
-budget ran out.  CLSH_MAX_STEPS overrides the default budget.
+budget ran out.  CLSH_MAX_STEPS overrides the default budget; it and
+--max-steps must be non-negative integers.
 """
 
 from __future__ import annotations
@@ -17,13 +18,8 @@ import os
 import sys
 from pathlib import Path
 
-from .checks import (
-    CatalogError,
-    builtin_catalog,
-    expand_check,
-    load_catalog,
-    run_checks,
-)
+from .checks import (CatalogError, builtin_catalog, checks_and_rules,
+                     load_catalog, run_checks)
 from .disassemble import NoDefinitionError, compile_term
 from .rewrite import (
     BUDGET_EXHAUSTED,
@@ -36,25 +32,14 @@ from .rewrite import (
     normalize_fast,
     parse_rules,
 )
-from .syntax import SyntaxConfig, TermSyntaxError, format_term, parse, to_json
-from .terms import App, Atom, Lam, Term, Var, pos_to_str
+from .syntax import (SyntaxConfig, TermSyntaxError, format_term, json_text,
+                     parse, sexpr)
+from .terms import pos_to_str
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def sexpr(t: Term) -> str:
-    match t:
-        case Atom(n):
-            return f"(atom {n})"
-        case Var(n):
-            return f"(var {n})"
-        case App(f, a):
-            return f"(app {sexpr(f)} {sexpr(a)})"
-        case Lam(x, body):
-            return f"(lam {x} {sexpr(body)})"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,26 +67,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", action="append", metavar="base|full|FILE",
                    help="rule catalog; repeatable, default full")
     p.add_argument("--strategy", choices=("lo", "ri"), default="lo")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps")
     p.add_argument("--trace", action="store_true",
                    help="print every rewrite step")
 
     p = sub.add_parser("check", help="run an equation catalog")
-    p.add_argument("--suite", default="core",
-                   help="name of the built-in catalog (default: core)")
     p.add_argument("--catalog", metavar="FILE",
                    help="run this catalog file instead of the built-in one")
     p.add_argument("--expanded", action="store_true",
                    help="unfold derived atoms and run on the base rules only")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps")
     p.add_argument("--json", action="store_true", help="emit JSON")
     return top
 
 
 def _default_steps(args) -> int:
-    if getattr(args, "max_steps", None) is not None:
-        return args.max_steps
-    return int(os.environ.get("CLSH_MAX_STEPS", DEFAULT_MAX_STEPS))
+    name, text = "--max-steps", args.max_steps
+    if text is None:
+        name = "CLSH_MAX_STEPS"
+        text = os.environ.get(name, str(DEFAULT_MAX_STEPS))
+    if not text.strip().isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _collect_rules(specs) -> RuleSet:
@@ -120,13 +107,13 @@ def _collect_rules(specs) -> RuleSet:
 
 def _cmd_parse(args, cfg: SyntaxConfig) -> int:
     t = parse(args.term, cfg)
-    print(json.dumps(to_json(t)) if args.json else sexpr(t))
+    print(json_text(t) if args.json else sexpr(t))
     return EXIT_OK
 
 
 def _cmd_compile(args, cfg: SyntaxConfig) -> int:
     t = compile_term(parse(args.term, cfg), use_eta=args.eta)
-    print(json.dumps(to_json(t)) if args.json else format_term(t))
+    print(json_text(t) if args.json else format_term(t))
     return EXIT_OK
 
 
@@ -155,17 +142,11 @@ def _cmd_reduce(args, cfg: SyntaxConfig) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.suite != "core":
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
     if args.catalog:
         checks = load_catalog(Path(args.catalog).read_text())
     else:
         checks = builtin_catalog()
-    rules = FULL
-    if args.expanded:
-        checks = [e for c in checks if (e := expand_check(c)) is not None]
-        rules = CL_BASE
+    checks, rules = checks_and_rules(checks, args.expanded)
     reports = run_checks(checks, rules, _default_steps(args))
     if args.json:
         print(json.dumps({

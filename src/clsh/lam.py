@@ -25,7 +25,6 @@ from .rewrite import (
 )
 from .terms import (
     App,
-    Atom,
     Lam,
     Position,
     Term,

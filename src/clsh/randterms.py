@@ -19,14 +19,15 @@ Two experiments, both seeded and reproducible:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .disassemble import compile_term
 from .lam import beta_normalize_fast
-from .rewrite import CL_BASE, FULL, NORMAL_FORM, RuleSet, normalize_fast
+from .rewrite import (CL_BASE, FULL, NORMAL_FORM, RuleSet, _has_lam,
+                      normalize_fast)
 from .syntax import format_term
 from .terms import (App, Atom, Lam, Term, Var, alpha_eq, app, free_vars,
-                    fresh_var, positions, spine)
+                    fresh_var, spine)
 
 DEFAULT_SEED = 20260814
 
@@ -85,10 +86,6 @@ def gen_cl_term(rng: random.Random, max_size: int = 10) -> Term:
 # ---------------------------------------------------------------------------
 # observational comparison
 
-def _has_lam(t: Term) -> bool:
-    return any(type(s) is Lam for _, s in positions(t))
-
-
 def probe_eq(cl_nf: Term, beta_nf: Term, depth: int = 8,
              budget: int = 50_000) -> bool:
     """Bounded observational equality between a weak combinator normal form
@@ -142,16 +139,8 @@ class OracleAgreement:
         return len(self.nonconverged) / self.n if self.n else 0.0
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "max_size": self.max_size,
-            "budget": self.budget,
-            "checked": self.checked,
-            "mismatches": [vars(m) for m in self.mismatches],
-            "nonconverged": list(self.nonconverged),
-            "nonconverged_fraction": self.nonconverged_fraction,
-        }
+        return {**asdict(self),
+                "nonconverged_fraction": self.nonconverged_fraction}
 
 
 def oracle_agreement_experiment(n: int = 1000, seed: int = DEFAULT_SEED,
@@ -212,15 +201,7 @@ class ConfluenceResult:
     counterexamples: tuple[Counterexample, ...]
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "max_size": self.max_size,
-            "budget": self.budget,
-            "compared": self.compared,
-            "skipped": list(self.skipped),
-            "counterexamples": [vars(c) for c in self.counterexamples],
-        }
+        return asdict(self)
 
 
 def confluence_experiment(n: int = 1000, seed: int = DEFAULT_SEED,

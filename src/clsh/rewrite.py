@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .syntax import SyntaxConfig, DEFAULT_SYNTAX, format_term, parse
+from .syntax import format_term, parse
 from .terms import (
     App,
     Atom,
@@ -27,7 +27,6 @@ from .terms import (
     Position,
     Term,
     Var,
-    alpha_eq,
     pos_to_str,
     positions,
     replace_at,
@@ -182,19 +181,15 @@ class RuleSet:
 
 
 def match(pattern: Term, term: Term) -> Optional[dict[str, Term]]:
-    """Match an atom-headed, lambda-free pattern against a term.  Every
-    pattern variable binds; returns the substitution or None."""
+    """Match an atom-headed, lambda-free, linear pattern (as make_rule
+    ensures) against a term; returns the substitution or None."""
     sigma: dict[str, Term] = {}
     stack = [(pattern, term)]
     while stack:
         p, s = stack.pop()
         match p:
             case Var(n):
-                prev = sigma.get(n)
-                if prev is None:
-                    sigma[n] = s
-                elif not alpha_eq(prev, s):
-                    return None
+                sigma[n] = s
             case Atom(n):
                 if type(s) is not Atom or s.name != n:
                     return None
@@ -261,12 +256,12 @@ class TraceStep:
     dir: str  # "->" forward, "<-" when replaying a derivation backwards
     result: Term
 
-    def to_json(self, cfg: SyntaxConfig = DEFAULT_SYNTAX) -> dict:
+    def to_json(self) -> dict:
         return {
             "rule": self.rule,
             "pos": pos_to_str(self.pos),
             "dir": self.dir,
-            "result": format_term(self.result, cfg),
+            "result": format_term(self.result),
         }
 
 
@@ -281,12 +276,12 @@ class Trace:
     def nsteps(self) -> int:
         return len(self.steps)
 
-    def to_json(self, cfg: SyntaxConfig = DEFAULT_SYNTAX) -> dict:
+    def to_json(self) -> dict:
         return {
-            "initial": format_term(self.initial, cfg),
-            "steps": [s.to_json(cfg) for s in self.steps],
+            "initial": format_term(self.initial),
+            "steps": [s.to_json() for s in self.steps],
             "status": self.status,
-            "final": format_term(self.final, cfg),
+            "final": format_term(self.final),
         }
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 
 from .terms import ATOM_CATALOG, App, Atom, Lam, Term, Var
@@ -34,14 +35,8 @@ _SINGLE_UPPER_RE = re.compile(r"[A-Z]\Z")
 
 @dataclass(frozen=True)
 class SyntaxConfig:
-    """Knobs for reading and printing.
-
-    expand_sugar gates the pair/fork/quote/composition notations on input;
-    resugar_pairs prints saturated D pairs back as [a, b].
-    """
+    """Reading options: expand_sugar gates pair/fork/quote/dot sugar."""
     expand_sugar: bool = True
-    resugar_pairs: bool = False
-    ascii_lambda: tuple[str, ...] = ("\\", "lambda")
 
 
 DEFAULT_SYNTAX = SyntaxConfig()
@@ -99,7 +94,7 @@ def _tokenize(text: str, cfg: SyntaxConfig) -> list[_Tok]:
         m = _IDENT_RE.match(text, i)
         if m:
             word = m.group()
-            kind = "LAMBDA" if word in cfg.ascii_lambda else "IDENT"
+            kind = "LAMBDA" if word == "lambda" else "IDENT"
             toks.append(_Tok(kind, word, line, col))
             i = m.end()
             col += len(word)
@@ -238,78 +233,126 @@ def parse(text: str, cfg: SyntaxConfig = DEFAULT_SYNTAX) -> Term:
 # ---------------------------------------------------------------------------
 # printing
 
-_TOP, _FUN, _ARG = 0, 1, 2
-
-
-def format_term(t: Term, cfg: SyntaxConfig = DEFAULT_SYNTAX) -> str:
-    """Render with minimal parentheses; parse(format_term(t), cfg) is t again
-    as long as variable names stay clear of keywords and atom names."""
+def format_term(t: Term) -> str:
+    """Render with minimal parentheses: App and Lam arguments and a Lam in
+    function position are wrapped; a run of Lams prints as \\x y.body, and
+    parse(format_term(t)) is t again if names avoid keywords and atoms."""
     out: list[str] = []
-    stack: list = [(t, _TOP)]
+    emit = out.append
+    stack: list = [t]
+    push, pop = stack.append, stack.pop
     while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
+        node = pop()
+        if type(node) is str:
+            emit(node)
             continue
-        node, ctx = item
-        match node:
-            case Atom(n) | Var(n):
-                out.append(n)
-            case App(App(Atom("D"), a), b) if cfg.resugar_pairs:
-                stack.append("]")
-                stack.append((b, _TOP))
-                stack.append(", ")
-                stack.append((a, _TOP))
-                stack.append("[")
-            case App(f, a):
-                if ctx == _ARG:
-                    stack.append(")")
-                stack.append((a, _ARG))
-                stack.append(" ")
-                stack.append((f, _FUN))
-                if ctx == _ARG:
-                    stack.append("(")
-            case Lam(_, _):
-                binders = []
-                body = node
-                while type(body) is Lam:
-                    binders.append(body.binder)
-                    body = body.body
-                if ctx != _TOP:
-                    stack.append(")")
-                stack.append((body, _TOP))
-                stack.append(cfg.ascii_lambda[0] + " ".join(binders) + ".")
-                if ctx != _TOP:
-                    stack.append("(")
+        if type(node) is Lam:
+            binders = []
+            while type(node) is Lam:
+                binders.append(node.binder)
+                node = node.body
+            emit("\\" + " ".join(binders) + ".")
+        tn = type(node)
+        while tn is App:
+            a = node.arg
+            ta = type(a)
+            if ta is App or ta is Lam:
+                push(")")
+                push(a)
+                push(" (")
+            else:
+                push(a.name)
+                push(" ")
+            node = node.fun
+            tn = type(node)
+        if tn is Lam:  # a Lam head: wrapped, and printed on the next turn
+            push(")")
+            push(node)
+            emit("(")
+        else:
+            emit(node.name)
     return "".join(out)
 
 
 # ---------------------------------------------------------------------------
-# JSON form of the raw tree
+# the raw tree: JSON and s-expression forms
+
+# Stack markers: build an App (a Lam) from what the walk has built last.
+_APP_END, _LAM_END = object(), object()
+
 
 def to_json(t: Term) -> dict:
-    match t:
-        case Atom(n):
-            return {"atom": n}
-        case Var(n):
-            return {"var": n}
-        case App(f, a):
-            return {"app": [to_json(f), to_json(a)]}
-        case Lam(b, body):
-            return {"lam": [b, to_json(body)]}
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    """Nested dicts, built without recursion."""
+    done: list[dict] = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if node is _APP_END:
+            done[-2:] = [{"app": done[-2:]}]
+        elif node is _LAM_END:
+            done[-1] = {"lam": [stack.pop(), done[-1]]}
+        elif type(node) is App:
+            stack += (_APP_END, node.arg, node.fun)
+        elif type(node) is Lam:
+            stack += (node.binder, _LAM_END, node.body)
+        elif type(node) in (Atom, Var):
+            done.append({"atom" if type(node) is Atom else "var": node.name})
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return done[0]
 
 
 def from_json(obj: dict) -> Term:
-    match obj:
-        case {"atom": str(n)}:
-            return Atom(n)
-        case {"var": str(n)}:
-            return Var(n)
-        case {"app": [f, a]}:
-            return App(from_json(f), from_json(a))
-        case {"lam": [str(b), body]}:
-            return Lam(b, from_json(body))
-        case _:
-            raise ValueError(f"not a term object: {json.dumps(obj)[:80]}")
+    """The inverse of to_json, built without recursion."""
+    done: list[Term] = []
+    stack: list = [obj]
+    while stack:
+        match o := stack.pop():
+            case _ if o is _APP_END:
+                done[-2:] = [App(*done[-2:])]
+            case _ if o is _LAM_END:
+                done[-1] = Lam(stack.pop(), done[-1])
+            case {"atom": str(n)}:
+                done.append(Atom(n))
+            case {"var": str(n)}:
+                done.append(Var(n))
+            case {"app": [f, a]}:
+                stack += (_APP_END, a, f)
+            case {"lam": [str(b), body]}:
+                stack += (b, _LAM_END, body)
+            case _:
+                raise ValueError(f"not a term object: {reprlib.repr(o)}")
+    return done[0]
+
+
+# _render's spelling of a leaf, an App (open, sep, close) and a Lam.
+_SEXPR = ({Atom: "(atom {})", Var: "(var {})"}, "(app ", " ", ")",
+          "(lam {} ", ")")
+_JSON = ({Atom: '{{"atom": {}}}', Var: '{{"var": {}}}'}, '{"app": [', ", ",
+         "]}", '{{"lam": [{}, ', "]}")
+
+
+def _render(t: Term, forms: tuple, name=str) -> str:
+    leaf, app_open, sep, app_close, lam_open, lam_close = forms
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+        elif type(node) is App:
+            stack += (app_close, node.arg, sep, node.fun, app_open)
+        elif type(node) is Lam:
+            stack += (lam_close, node.body, lam_open.format(name(node.binder)))
+        else:
+            out.append(leaf[type(node)].format(name(node.name)))
+    return "".join(out)
+
+
+def sexpr(t: Term) -> str:
+    return _render(t, _SEXPR)
+
+
+def json_text(t: Term) -> str:
+    """json.dumps(to_json(t)), without the recursion json.dumps does."""
+    return _render(t, _JSON, json.dumps)

@@ -56,6 +56,18 @@ class TestParseCommand:
         assert run(capsys, "parse")[0] == EXIT_USAGE
         assert run(capsys, "frobnicate", "x")[0] == EXIT_USAGE
 
+    def test_deep_spine(self, capsys):
+        # f applied to 10^5 arguments: the tree is 10^5 deep
+        n = 100_000
+        src = "f" + " x" * n
+        code, out, _ = run(capsys, "parse", src)
+        assert code == EXIT_OK
+        assert out == "(app " * n + "(var f)" + " (var x))" * n + "\n"
+        code, out, _ = run(capsys, "parse", "--json", src)
+        assert code == EXIT_OK
+        assert out == ('{"app": [' * n + '{"var": "f"}'
+                       + ', {"var": "x"}]}' * n + "\n")
+
 
 class TestCompileCommand:
     def test_known_disassembly(self, capsys):
@@ -124,6 +136,29 @@ class TestReduceCommand:
         code, _, _ = run(capsys, "reduce", "S I I (S I I)")
         assert code == EXIT_BUDGET
 
+    def test_zero_budget_is_valid(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--max-steps", "0", "K a b")
+        assert code == EXIT_BUDGET
+        assert out.strip() == "K a b"
+
+    @pytest.mark.parametrize("cmd", [["reduce", "K a b"], ["check"]])
+    @pytest.mark.parametrize("value", ["-5", "x", "1.5", ""])
+    def test_bad_max_steps_is_usage_error(self, capsys, cmd, value):
+        code, out, err = run(capsys, *cmd, "--max-steps", value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--max-steps" in err
+
+    @pytest.mark.parametrize("cmd", [["reduce", "K a b"], ["check"]])
+    @pytest.mark.parametrize("value", ["-5", "abc", "1e3", " "])
+    def test_bad_env_budget_is_usage_error(self, capsys, monkeypatch, cmd,
+                                           value):
+        monkeypatch.setenv("CLSH_MAX_STEPS", value)
+        code, out, err = run(capsys, *cmd)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("clsh: CLSH_MAX_STEPS")
+
     def test_strategy_flag(self, capsys):
         code, out, _ = run(capsys, "reduce", "--strategy", "ri", "K a (I b)")
         assert code == EXIT_OK
@@ -181,8 +216,3 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "--catalog", str(f))
         assert code == EXIT_USAGE
         assert err.startswith("clsh:")
-
-    def test_unknown_suite(self, capsys):
-        code, _, err = run(capsys, "check", "--suite", "nope")
-        assert code == EXIT_USAGE
-        assert "unknown suite" in err

@@ -11,12 +11,14 @@ from clsh.syntax import (
     TermSyntaxError,
     format_term,
     from_json,
+    json_text,
     parse,
     to_json,
 )
 from clsh.terms import App, Atom, Lam, Var, alpha_eq
 
 from conftest import lam_terms
+from spec_printer import reference_format_term
 
 PLAIN = SyntaxConfig(expand_sugar=False)
 
@@ -149,13 +151,13 @@ class TestPrinting:
         t = App(Var("f"), Lam("x", Var("x")))
         assert parse(format_term(t)) == t
 
-    def test_resugar_pairs(self):
-        cfg = SyntaxConfig(resugar_pairs=True)
-        assert format_term(parse("D a b"), cfg) == "[a, b]"
-        assert format_term(parse("D a b c"), cfg) == "[a, b] c"
-        assert format_term(parse("D a"), cfg) == "D a"          # undersaturated
-        assert format_term(parse("D a b")) == "D a b"           # default off
-        assert parse(format_term(parse("D a b c"), cfg)) == parse("D a b c")
+    def test_lambda_parenthesized_in_function_position(self):
+        t = App(Lam("x", Var("x")), Lam("y", App(Var("y"), Var("y"))))
+        assert format_term(t) == r"(\x.x) (\y.y y)"
+
+    @given(lam_terms)
+    def test_matches_reference_printer(self, t):
+        assert format_term(t) == reference_format_term(t)
 
     @given(lam_terms)
     def test_round_trip(self, t):
@@ -172,6 +174,10 @@ class TestJson:
         blob = json.dumps(to_json(t))
         assert from_json(json.loads(blob)) == t
 
+    @given(lam_terms)
+    def test_json_text_is_json_dumps(self, t):
+        assert json_text(t) == json.dumps(to_json(t))
+
     def test_shape(self):
         assert to_json(parse("K x")) == {"app": [{"atom": "K"}, {"var": "x"}]}
         assert to_json(parse(r"\x.x")) == {"lam": ["x", {"var": "x"}]}
@@ -179,3 +185,59 @@ class TestJson:
     def test_rejects_junk(self):
         with pytest.raises(ValueError):
             from_json({"nope": 1})
+        with pytest.raises(ValueError):
+            from_json({"app": [{"atom": "K"}, {"app": [{"var": "x"}]}]})
+        with pytest.raises(TypeError):
+            to_json(App(Atom("K"), "x"))
+
+
+# Depth 10^5, far past the recursion limit.  Expected strings are built
+# without clsh.  Terms are compared through their printed form, which
+# determines the tree for these names, since == on terms still recurses.
+DEEP = 100_000
+
+
+def right_nested(n):
+    t = Var("z")
+    for _ in range(n):
+        t = App(Var("s"), t)
+    return t
+
+
+def left_spine(n):
+    t = Var("f")
+    for _ in range(n):
+        t = App(t, Var("x"))
+    return t
+
+
+def lambda_run(n):
+    t = Var("x")
+    for _ in range(n):
+        t = Lam("x", t)
+    return t
+
+
+class TestDeepTerms:
+    def test_right_nested(self):
+        want = "s (" * (DEEP - 1) + "s z" + ")" * (DEEP - 1)
+        assert format_term(right_nested(DEEP)) == want
+
+    def test_left_spine(self):
+        assert format_term(left_spine(DEEP)) == "f" + " x" * DEEP
+
+    def test_lambda_run(self):
+        want = "\\" + " ".join(["x"] * DEEP) + ".x"
+        assert format_term(lambda_run(DEEP)) == want
+
+    @pytest.mark.parametrize("build", [right_nested, left_spine, lambda_run])
+    def test_json_round_trip(self, build):
+        t = build(DEEP)
+        assert format_term(from_json(to_json(t))) == format_term(t)
+
+    def test_json_shape(self):
+        blob = to_json(left_spine(DEEP))
+        for _ in range(DEEP):
+            blob, arg = blob["app"]
+            assert arg == {"var": "x"}
+        assert blob == {"var": "f"}
