@@ -49,7 +49,6 @@ from .rewrite import (
     normalize_fast,
     parse_rule,
     parse_rules,
-    reduce_step,
 )
 from .disassemble import (
     DERIVED_NAMES,
@@ -61,7 +60,7 @@ from .disassemble import (
     expand_derived,
     lambda_definition,
 )
-from .lam import beta_normalize, beta_normalize_fast, beta_step, eta_step
+from .lam import beta_normalize_fast, eta_step
 from .checks import (
     CatalogError,
     ChainStep,

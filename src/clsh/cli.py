@@ -5,9 +5,9 @@
     clsh reduce TERM       compile, then normalize under a rule catalog
     clsh check             run an equation catalog
 
-Exit codes: 0 success, 1 a check failed, 2 bad input or usage, 3 a step
-budget ran out.  CLSH_MAX_STEPS overrides the default budget; it and
---max-steps must be non-negative integers.
+Exit codes: 0 success, 1 a check failed, 2 bad input or usage, 3 the step
+budget or the term size guard ran out.  CLSH_MAX_STEPS overrides the
+default budget; it and --max-steps must be non-negative integers.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .disassemble import NoDefinitionError, compile_term
 from .rewrite import (
     BUDGET_EXHAUSTED,
     CL_BASE,
+    DEFAULT_MAX_SIZE,
     DEFAULT_MAX_STEPS,
     FULL,
     IllFormedRuleError,
@@ -131,12 +132,16 @@ def _cmd_reduce(args, cfg: SyntaxConfig) -> int:
                 print(f"  {i:>4}  {s.rule} @ {pos_to_str(s.pos)}  ->  "
                       f"{format_term(s.result)}")
             print(format_term(tr.final))
-        status = tr.status
+        fired, status = tr.nsteps, tr.status
     else:
-        final, _, status = normalize_fast(t, rules, steps, args.strategy)
+        final, fired, status = normalize_fast(t, rules, steps, args.strategy)
         print(format_term(final))
     if status == BUDGET_EXHAUSTED:
-        print(f"step budget exhausted ({steps})", file=sys.stderr)
+        if fired < steps:  # the machines stop early only at the size guard
+            print(f"size budget exhausted ({DEFAULT_MAX_SIZE} nodes)",
+                  file=sys.stderr)
+        else:
+            print(f"step budget exhausted ({steps})", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
 

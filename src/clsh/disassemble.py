@@ -63,19 +63,35 @@ def compile_abstraction(x: str, body: Term) -> Term:
 def compile_term(t: Term, use_eta: bool = False) -> Term:
     """Replace every lambda in t by its I/K/S disassembly, innermost first.
     The result has no Lam nodes; variables that were free stay free."""
-    match t:
-        case Atom(_) | Var(_):
-            return t
-        case App(f, a):
-            return App(compile_term(f, use_eta), compile_term(a, use_eta))
-        case Lam(x, body):
-            b = compile_term(body, use_eta)
+    out: list[Term] = []
+    work: list[tuple[Term, bool]] = [(t, False)]
+    while work:
+        node, combine = work.pop()
+        if combine:
+            if type(node) is App:
+                a = out.pop()
+                out.append(App(out.pop(), a))
+                continue
+            x, b = node.binder, out.pop()
             if (use_eta and type(b) is App and type(b.arg) is Var
                     and b.arg.name == x and x not in free_vars(b.fun)):
-                return b.fun
-            return compile_abstraction(x, b)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+                out.append(b.fun)
+            else:
+                out.append(compile_abstraction(x, b))
+            continue
+        match node:
+            case Atom(_) | Var(_):
+                out.append(node)
+            case App(f, a):
+                work.append((node, True))
+                work.append((a, False))
+                work.append((f, False))
+            case Lam(_, body):
+                work.append((node, True))
+                work.append((body, False))
+            case _:
+                raise TypeError(f"not a term: {node!r}")
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ final eta pass contracts \\x.M x to M; eta contraction of a beta normal form
 cannot create new beta redexes, since the lambda being removed was not in
 function position and M cannot be a lambda.
 
-beta_normalize() is the rescanning reference, beta_normalize_fast() a spine
-machine that must agree with it; the test suite checks they fire the same
-number of steps with the same outcome.
+beta_normalize_fast() runs a spine machine that never rescans from the
+root.  The rescanning reducer that defines normal order lives in the test
+suite, which checks that the machine fires the same number of steps with
+the same outcome.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .rewrite import (
     DEFAULT_MAX_SIZE,
     DEFAULT_MAX_STEPS,
     NORMAL_FORM,
-    Trace,
-    TraceStep,
 )
 from .terms import (
     App,
@@ -37,15 +36,6 @@ from .terms import (
 )
 
 
-def beta_step(t: Term) -> Optional[tuple[Position, Term]]:
-    """Contract the leftmost-outermost beta redex, or None in normal form."""
-    for pos, sub in positions(t, into_lam=True):
-        if type(sub) is App and type(sub.fun) is Lam:
-            new = substitute(sub.fun.body, sub.fun.binder, sub.arg)
-            return pos, replace_at(t, pos, new)
-    return None
-
-
 def eta_step(t: Term) -> Optional[tuple[Position, Term]]:
     """Contract the leftmost-outermost eta redex, or None if there is none."""
     for pos, sub in positions(t, into_lam=True):
@@ -53,39 +43,6 @@ def eta_step(t: Term) -> Optional[tuple[Position, Term]]:
             case Lam(x, App(f, Var(y))) if y == x and x not in free_vars(f):
                 return pos, replace_at(t, pos, f)
     return None
-
-
-def beta_normalize(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
-                   use_eta: bool = False,
-                   max_size: int = DEFAULT_MAX_SIZE) -> Trace:
-    """Normal order normalization with a full trace; eta steps, when asked
-    for, run after the beta phase and share the step budget."""
-    steps: list[TraceStep] = []
-    cur = t
-    while True:
-        m = beta_step(cur)
-        if m is None:
-            status = NORMAL_FORM
-            break
-        if len(steps) >= max_steps:
-            status = BUDGET_EXHAUSTED
-            break
-        pos, cur = m
-        steps.append(TraceStep("beta", pos, "->", cur))
-        if term_size(cur) > max_size:
-            status = BUDGET_EXHAUSTED
-            break
-    if use_eta and status == NORMAL_FORM:
-        while True:
-            m = eta_step(cur)
-            if m is None:
-                break
-            if len(steps) >= max_steps:
-                status = BUDGET_EXHAUSTED
-                break
-            pos, cur = m
-            steps.append(TraceStep("eta", pos, "->", cur))
-    return Trace(initial=t, steps=tuple(steps), status=status, final=cur)
 
 
 def _beta_machine(t: Term, max_steps: int,
@@ -162,7 +119,9 @@ def _beta_machine(t: Term, max_steps: int,
 def beta_normalize_fast(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
                         use_eta: bool = False,
                         max_size: int = DEFAULT_MAX_SIZE) -> tuple[Term, int, str]:
-    """Like beta_normalize() but without a trace."""
+    """Normal order normalization, (final term, steps fired, status); eta
+    steps, when asked for, run after the beta phase and share the step
+    budget."""
     cur, nsteps, status = _beta_machine(t, max_steps, max_size)
     if use_eta and status == NORMAL_FORM:
         while True:

@@ -8,16 +8,17 @@ rewritten, a Lam node is simply a value.  Two strategies are provided:
       argument subtree), first match fires, rules tried in catalog order
   ri  rightmost-innermost: postorder scan, argument subtree first
 
-normalize() is the plain rescan-from-the-root loop and records a full trace;
-it is the specification of both strategies.  normalize_fast() runs a zipper
-machine that avoids rescans and must agree with normalize() step for step,
-which the test suite checks on random terms.
+Each strategy runs on one zipper machine that never rescans from the root.
+normalize() records every step the machine fires as a Trace; normalize_fast()
+runs the same machine without recording.  The rescanning reducer that
+defines both strategies lives in the test suite, which checks on random
+terms that the machines fire exactly its steps (rule, position, result).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .syntax import format_term, parse
 from .terms import (
@@ -29,7 +30,6 @@ from .terms import (
     Var,
     pos_to_str,
     positions,
-    replace_at,
     spine,
     term_size,
 )
@@ -286,68 +286,16 @@ class Trace:
 
 
 # ---------------------------------------------------------------------------
-# reference engine: rescan from the root after every step
+# the zipper machines
+#
+# Each takes an optional recorder, called after every fire with (rule name,
+# position, whole rewritten term); normalize() builds its Trace from it.
 
-def _ri_positions(t: Term) -> Iterator[tuple[Position, Term]]:
-    """Postorder, argument subtree before function subtree; lambda bodies
-    are skipped."""
-    stack: list[tuple[Position, Term, bool]] = [((), t, False)]
-    while stack:
-        pos, node, expanded = stack.pop()
-        if expanded or type(node) is not App:
-            yield pos, node
-        else:
-            stack.append((pos, node, True))
-            stack.append((pos + ("fun",), node.fun, False))
-            stack.append((pos + ("arg",), node.arg, False))
+_Recorder = Callable[[str, Position, Term], None]
 
 
-def reduce_step(t: Term, rules: RuleSet,
-                strategy: str = "lo") -> Optional[tuple[str, Position, Term]]:
-    """One step: (rule name, position, whole rewritten term), or None if t
-    is in normal form."""
-    if strategy == "lo":
-        scan = positions(t, into_lam=False)
-    elif strategy == "ri":
-        scan = _ri_positions(t)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    for pos, sub in scan:
-        m = rules.match_at(sub)
-        if m is not None:
-            rule, sigma = m
-            return rule.name, pos, replace_at(t, pos, instantiate(rule.rhs, sigma))
-    return None
-
-
-def normalize(t: Term, rules: RuleSet, max_steps: int = DEFAULT_MAX_STEPS,
-              strategy: str = "lo", max_size: int = DEFAULT_MAX_SIZE) -> Trace:
-    """Normalize by iterated reduce_step, recording every step.  Stops with
-    BUDGET_EXHAUSTED when max_steps reductions have fired and a redex is
-    still present, or when the term outgrows max_size nodes."""
-    steps: list[TraceStep] = []
-    cur = t
-    while True:
-        m = reduce_step(cur, rules, strategy)
-        if m is None:
-            status = NORMAL_FORM
-            break
-        if len(steps) >= max_steps:
-            status = BUDGET_EXHAUSTED
-            break
-        name, pos, cur = m
-        steps.append(TraceStep(name, pos, "->", cur))
-        if term_size(cur) > max_size:
-            status = BUDGET_EXHAUSTED
-            break
-    return Trace(initial=t, steps=tuple(steps), status=status, final=cur)
-
-
-# ---------------------------------------------------------------------------
-# fast engine: zipper machines, no trace
-
-def _machine_lo(t: Term, rules: RuleSet, max_steps: int,
-                max_size: int) -> tuple[Term, int, str]:
+def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
+                record: Optional[_Recorder] = None) -> tuple[Term, int, str]:
     """Leftmost-outermost without rescans.
 
     A fire can only enable new redexes inside the contractum or at ancestors
@@ -392,6 +340,10 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int,
                 nsteps += 1
                 total += term_size(contractum) - term_size(focus)
                 focus = contractum
+                if record is not None:
+                    record(rule.name, tuple("fun" if kind == 0 else "arg"
+                                            for kind, _ in frames),
+                           zip_all(focus))
                 if total > max_size:
                     return zip_all(focus), nsteps, BUDGET_EXHAUSTED
                 k = min(window, len(frames))
@@ -434,8 +386,8 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int,
 _MK = ("mk",)
 
 
-def _machine_ri(t: Term, rules: RuleSet, max_steps: int,
-                max_size: int) -> tuple[Term, int, str]:
+def _machine_ri(t: Term, rules: RuleSet, max_steps: int, max_size: int,
+                record: Optional[_Recorder] = None) -> tuple[Term, int, str]:
     """Rightmost-innermost: evaluate the argument, then the function, then
     fire at the node.  Finished subtrees are remembered by identity, so the
     already-normal pieces a contractum reuses are not rescanned."""
@@ -446,9 +398,10 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int,
     total = term_size(t)
 
     def rebuild(hole: Term) -> Term:
+        """The whole term with hole at the focus; the stacks are left as
+        they are."""
         vals = vs + [hole]
-        while ws:
-            op = ws.pop()
+        for op in reversed(ws):
             if op is _MK:
                 f = vals.pop()
                 a = vals.pop()
@@ -457,6 +410,12 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int,
                 vals.append(op[1])
         assert len(vals) == 1
         return vals[0]
+
+    def position() -> Position:
+        """Each pending _MK is an ancestor; the focus is in its argument
+        while the function's eval still waits just above it."""
+        return tuple("arg" if i + 1 < len(ws) and ws[i + 1] is not _MK else "fun"
+                     for i, op in enumerate(ws) if op is _MK)
 
     def fire(node: Term, m) -> Optional[Term]:
         """Returns the contractum, or None when stopping; the caller returns
@@ -468,6 +427,8 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int,
         c = instantiate(rule.rhs, sigma)
         nsteps += 1
         total += term_size(c) - term_size(node)
+        if record is not None:
+            record(rule.name, position(), rebuild(c))
         return c
 
     while ws:
@@ -512,13 +473,29 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int,
     return vs[0], nsteps, NORMAL_FORM
 
 
+def _machine(strategy: str):
+    if strategy == "lo":
+        return _machine_lo
+    if strategy == "ri":
+        return _machine_ri
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def normalize(t: Term, rules: RuleSet, max_steps: int = DEFAULT_MAX_STEPS,
+              strategy: str = "lo", max_size: int = DEFAULT_MAX_SIZE) -> Trace:
+    """Normalize with the strategy's machine, recording every step.  Stops
+    with BUDGET_EXHAUSTED when max_steps reductions have fired and a redex
+    is still present, or when the term outgrows max_size nodes; the step
+    that outgrew it is recorded."""
+    steps: list[TraceStep] = []
+    final, _, status = _machine(strategy)(
+        t, rules, max_steps, max_size,
+        lambda name, pos, result: steps.append(TraceStep(name, pos, "->", result)))
+    return Trace(initial=t, steps=tuple(steps), status=status, final=final)
+
+
 def normalize_fast(t: Term, rules: RuleSet, max_steps: int = DEFAULT_MAX_STEPS,
                    strategy: str = "lo",
                    max_size: int = DEFAULT_MAX_SIZE) -> tuple[Term, int, str]:
-    """Like normalize() but via the zipper machines, returning
-    (final term, steps fired, status) without a trace."""
-    if strategy == "lo":
-        return _machine_lo(t, rules, max_steps, max_size)
-    if strategy == "ri":
-        return _machine_ri(t, rules, max_steps, max_size)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    """normalize() without the trace: (final term, steps fired, status)."""
+    return _machine(strategy)(t, rules, max_steps, max_size)

@@ -7,6 +7,7 @@ from clsh.checks import (
     CatalogError,
     EquationCheck,
     builtin_catalog,
+    checks_and_rules,
     expand_check,
     load_catalog,
     run_check,
@@ -15,6 +16,8 @@ from clsh.checks import (
 )
 from clsh.rewrite import CL_BASE, FULL
 from clsh.syntax import parse
+
+import spec_engines
 
 GOOD = """
 # two toy checks
@@ -251,3 +254,14 @@ def test_run_checks_order_preserved():
     checks = load_catalog(GOOD)
     reports = run_checks(checks, FULL)
     assert [r.name for r in reports] == [c.name for c in checks]
+
+
+@pytest.mark.parametrize("expanded, count", [(False, 20), (True, 12)])
+def test_reports_match_the_spec_engine(monkeypatch, expanded, count):
+    """Every built-in check gives the same report, traces included, whether
+    its sides normalize on the machines or on the rescanning spec."""
+    checks, rules = checks_and_rules(builtin_catalog(), expanded)
+    assert len(checks) == count
+    machine = run_checks(checks, rules)
+    monkeypatch.setattr("clsh.checks.normalize", spec_engines.normalize)
+    assert run_checks(checks, rules) == machine

@@ -79,6 +79,18 @@ class TestCompileCommand:
         assert run(capsys, "compile", r"\x. f x")[1].strip() == "S (K f) I"
         assert run(capsys, "compile", "--eta", r"\x. f x")[1].strip() == "f"
 
+    @pytest.mark.parametrize("cmd, n", [("compile", 10_000),
+                                        ("compile", 100_000),
+                                        ("reduce", 10_000)])
+    def test_deep_spine(self, capsys, cmd, n):
+        # f applied to n arguments, bare and under a binder that none of
+        # them mentions; both results are already in normal form (reduce
+        # stays at 10^4 to keep the suite fast: it adds the machine's walk)
+        src = "f" + " x" * n
+        assert run(capsys, cmd, src) == (EXIT_OK, src + "\n", "")
+        want = "S (" * n + "K f" + ") (K x)" * n + "\n"
+        assert run(capsys, cmd, "\\y. " + src) == (EXIT_OK, want, "")
+
 
 class TestReduceCommand:
     def test_normal_form_only(self, capsys):
@@ -130,6 +142,27 @@ class TestReduceCommand:
         assert code == EXIT_BUDGET
         assert "budget exhausted" in err
         assert out.strip()  # the partial result is still printed
+
+    @pytest.mark.parametrize("flags", [[], ["--trace"], ["--json"]])
+    def test_budget_names_the_step_limit(self, capsys, flags):
+        code, _, err = run(capsys, "reduce", *flags, "--max-steps", "5",
+                           "S I I (S I I)")
+        assert code == EXIT_BUDGET
+        assert err == "step budget exhausted (5)\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--trace"], ["--json"]])
+    def test_budget_names_the_size_limit(self, capsys, tmp_path, flags):
+        # W doubles its argument each step: the term passes the 10^6-node
+        # size guard after about 20 steps, far inside the step budget
+        f = tmp_path / "dup.rules"
+        f.write_text("W: W a => W (a a)\n")
+        code, out, err = run(capsys, "reduce", "--rules", str(f), *flags,
+                             "--max-steps", "1000", "W a")
+        assert code == EXIT_BUDGET
+        assert err == "size budget exhausted (1000000 nodes)\n"
+        if flags == ["--json"]:
+            assert json.loads(out)["status"] == "budget_exhausted"
+            assert len(json.loads(out)["steps"]) < 1000
 
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("CLSH_MAX_STEPS", "5")

@@ -1,15 +1,17 @@
-"""Normal order beta reduction: steps, normalization, eta phase, and the
-spine machine's agreement with the recording stepper."""
+"""Normal order beta reduction: the rescanning spec's steps and
+normalization, the eta phase, and the spine machine's agreement with the
+spec."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clsh.lam import beta_normalize, beta_normalize_fast, beta_step, eta_step
+from clsh.lam import beta_normalize_fast, eta_step
 from clsh.rewrite import BUDGET_EXHAUSTED, NORMAL_FORM
 from clsh.syntax import parse
 from clsh.terms import Lam, Var, alpha_eq
 
 from conftest import closed_lambdas, lam_terms
+from spec_engines import beta_normalize, beta_step
 
 
 class TestBetaStep:

@@ -1,5 +1,6 @@
 """Rewrite engine: rule validation, matching, strategies, traces, budgets,
-and agreement between the recording stepper and the zipper machines."""
+and step-for-step agreement between the zipper machines and the rescanning
+spec reducer."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,12 @@ from clsh.rewrite import (
     normalize_fast,
     parse_rule,
     parse_rules,
-    reduce_step,
 )
 from clsh.syntax import parse
 from clsh.terms import App, Atom, Var, subterm_at, replace_at, term_size
 
 from conftest import cl_terms
+from spec_engines import normalize as spec_normalize, reduce_step
 
 
 def nf(src: str, rules=FULL, strategy: str = "lo") -> str:
@@ -194,6 +195,8 @@ class TestStrategies:
             reduce_step(parse("I a"), CL_BASE, strategy="xx")
         with pytest.raises(ValueError):
             normalize_fast(parse("I a"), CL_BASE, strategy="xx")
+        with pytest.raises(ValueError):
+            normalize(parse("I a"), CL_BASE, strategy="xx")
 
     def test_weak_reduction_leaves_lambda_bodies(self):
         t = parse(r"K (\x. I x) y")
@@ -268,27 +271,44 @@ class TestAncestorReenabling:
         assert n == 4
 
 
+def _steps(tr):
+    return [(s.rule, s.pos, s.dir, s.result) for s in tr.steps]
+
+
 class TestMachineAgreesWithReference:
+    """normalize records the machine's fires; they must be the spec's
+    steps, one for one, with the same stop."""
+
+    def _agree(self, t, rules, **kw):
+        ref = spec_normalize(t, rules, **kw)
+        tr = normalize(t, rules, **kw)
+        assert _steps(tr) == _steps(ref)
+        assert (tr.initial, tr.status, tr.final) == (t, ref.status, ref.final)
+        fast = normalize_fast(t, rules, **kw)
+        assert fast == (ref.final, ref.nsteps, ref.status)
+
     @settings(max_examples=150, deadline=None)
     @given(cl_terms,
            st.sampled_from(("lo", "ri")),
            st.sampled_from((0, 1, 3, 300)),
            st.sampled_from((64, 1_000_000)))
     def test_same_final_steps_status(self, t, strategy, max_steps, max_size):
-        ref = normalize(t, FULL, max_steps=max_steps, strategy=strategy,
-                        max_size=max_size)
-        fast, n, status = normalize_fast(t, FULL, max_steps=max_steps,
-                                         strategy=strategy, max_size=max_size)
-        assert status == ref.status
-        assert n == ref.nsteps
-        assert fast == ref.final
+        self._agree(t, FULL, max_steps=max_steps, strategy=strategy,
+                    max_size=max_size)
 
     @settings(max_examples=80, deadline=None)
-    @given(cl_terms, st.sampled_from((0, 1, 3, 300)))
-    def test_base_rules_only(self, t, max_steps):
-        ref = normalize(t, CL_BASE, max_steps=max_steps)
-        fast, n, status = normalize_fast(t, CL_BASE, max_steps=max_steps)
-        assert (fast, n, status) == (ref.final, ref.nsteps, ref.status)
+    @given(cl_terms, st.sampled_from(("lo", "ri")), st.sampled_from((0, 1, 3, 300)))
+    def test_base_rules_only(self, t, strategy, max_steps):
+        self._agree(t, CL_BASE, max_steps=max_steps, strategy=strategy)
+
+    def test_positions_of_nested_fires(self):
+        # K (I (I a)) (I b): lo fires K at the root, ri works inside first
+        t = parse("K (I (I a)) (I b)")
+        for strategy in ("lo", "ri"):
+            self._agree(t, CL_BASE, strategy=strategy)
+        ri = normalize(t, CL_BASE, strategy="ri")
+        assert [s.pos for s in ri.steps] == [
+            ("arg",), ("fun", "arg", "arg"), ("fun", "arg"), ()]
 
 
 class TestStrategiesConverge:
