@@ -57,8 +57,6 @@ from .rewrite import (
     RuleSet,
     Trace,
     TraceStep,
-    instantiate,
-    match,
     normalize,
     parse_rule,
 )
@@ -317,11 +315,11 @@ def replay_chain(check: EquationCheck, rules: RuleSet) -> CheckReport:
             sub = subterm_at(src, step.pos)
         except ValueError:
             return failure(i, f"no such position in {format_term(src)}", done)
-        sigma = match(rule.lhs, sub)
-        if sigma is None:
+        hit = rule.fire(sub)
+        if hit is None:
             return failure(
                 i, f"rule {step.rule} does not match at {format_term(sub)}", done)
-        got = replace_at(src, step.pos, instantiate(rule.rhs, sigma))
+        got = replace_at(src, step.pos, hit[0])
         if not alpha_eq(got, dst):
             return failure(
                 i, f"rule {step.rule} gives {format_term(got)}, "

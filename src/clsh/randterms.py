@@ -23,11 +23,10 @@ from dataclasses import asdict, dataclass
 
 from .disassemble import compile_term
 from .lam import beta_normalize_fast
-from .rewrite import (CL_BASE, FULL, NORMAL_FORM, RuleSet, _has_lam,
-                      normalize_fast)
+from .rewrite import CL_BASE, FULL, NORMAL_FORM, RuleSet, normalize_fast
 from .syntax import format_term
 from .terms import (App, Atom, Lam, Term, Var, alpha_eq, app, free_vars,
-                    fresh_var, spine)
+                    fresh_var, positions, spine)
 
 DEFAULT_SEED = 20260814
 
@@ -85,6 +84,10 @@ def gen_cl_term(rng: random.Random, max_size: int = 10) -> Term:
 
 # ---------------------------------------------------------------------------
 # observational comparison
+
+def _has_lam(t: Term) -> bool:
+    return any(type(s) is Lam for _, s in positions(t))
+
 
 def probe_eq(cl_nf: Term, beta_nf: Term, depth: int = 8,
              budget: int = 50_000) -> bool:

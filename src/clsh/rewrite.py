@@ -13,11 +13,21 @@ normalize() records every step the machine fires as a Trace; normalize_fast()
 runs the same machine without recording.  The rescanning reducer that
 defines both strategies lives in the test suite, which checks on random
 terms that the machines fire exactly its steps (rule, position, result).
+
+The machines do not interpret patterns.  Each rule compiles, on its first
+use, into a generated function (RewriteRule.fire) that tests the left
+side's nodes by field access and builds the right side straight from the
+matched fields, returning the contractum and the change in term size.
+match_at(), match() and instantiate() stay as the reference the compiled
+rules are tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from types import CodeType
 from typing import Callable, Iterator, Optional
 
 from .syntax import format_term, parse
@@ -29,7 +39,6 @@ from .terms import (
     Term,
     Var,
     pos_to_str,
-    positions,
     spine,
     term_size,
 )
@@ -54,51 +63,130 @@ class RewriteRule:
     head: str
     arity: int
     metavars: frozenset[str]
+    depth: int  # App nesting of lhs: how far above a changed node it can match
 
     def __str__(self):
         return f"{self.name}: {format_term(self.lhs)} => {format_term(self.rhs)}"
 
-
-def _pattern_vars(t: Term, acc: list[str]):
-    match t:
-        case Var(n):
-            acc.append(n)
-        case App(f, a):
-            _pattern_vars(f, acc)
-            _pattern_vars(a, acc)
+    @cached_property
+    def fire(self) -> Callable[[Term], Optional[tuple[Term, int]]]:
+        """fire(node) -> (contractum, size change) if the left side matches
+        at node, else None; generated on first use."""
+        return _compile(self)
 
 
-def _has_lam(t: Term) -> bool:
-    return any(type(s) is Lam for _, s in positions(t))
-
-
-def _depth(t: Term) -> int:
-    match t:
-        case App(f, a):
-            return 1 + max(_depth(f), _depth(a))
-        case _:
-            return 0
+def _side(t: Term) -> tuple[list[str], int, bool]:
+    """Variable occurrences of a rule side (left to right), its App depth,
+    and whether it holds a lambda.  Iterative: a rule may have thousands
+    of arguments."""
+    occs: list[str] = []
+    depth = 0
+    has_lam = False
+    stack = [(t, 0)]
+    while stack:
+        n, d = stack.pop()
+        if type(n) is App:
+            stack.append((n.arg, d + 1))
+            stack.append((n.fun, d + 1))
+            continue
+        depth = max(depth, d)
+        if type(n) is Var:
+            occs.append(n.name)
+        elif type(n) is Lam:
+            has_lam = True
+    return occs, depth, has_lam
 
 
 def make_rule(name: str, lhs: Term, rhs: Term) -> RewriteRule:
-    if _has_lam(lhs) or _has_lam(rhs):
+    occs, depth, lhs_lam = _side(lhs)
+    rvars, _, rhs_lam = _side(rhs)
+    if lhs_lam or rhs_lam:
         raise IllFormedRuleError(f"rule {name}: lambdas are not allowed in rules")
     head, args = spine(lhs)
     if type(head) is not Atom:
         raise IllFormedRuleError(f"rule {name}: left side must be headed by an atom")
-    occs: list[str] = []
-    _pattern_vars(lhs, occs)
     if len(occs) != len(set(occs)):
-        dup = sorted({v for v in occs if occs.count(v) > 1})
+        dup = sorted(v for v, k in Counter(occs).items() if k > 1)
         raise IllFormedRuleError(
             f"rule {name}: left side is not linear, {', '.join(dup)} repeats")
-    rvars: list[str] = []
-    _pattern_vars(rhs, rvars)
     loose = sorted(set(rvars) - set(occs))
     if loose:
         raise IllFormedRuleError(
             f"rule {name}: right side uses unbound {', '.join(loose)}")
-    return RewriteRule(name, lhs, rhs, head.name, len(args), frozenset(occs))
+    return RewriteRule(name, lhs, rhs, head.name, len(args), frozenset(occs),
+                       depth)
+
+
+def _compile(rule: RewriteRule) -> Callable[[Term], Optional[tuple[Term, int]]]:
+    """Generate and exec the source of rule.fire.
+
+    One flat statement per pattern node and per built App, since nested
+    expressions overflow the parser for rules with thousands of arguments.
+    Nothing from the rule's text reaches the source except atom names, as
+    repr() literals; right-side atoms are bound as constants, so the
+    contractum shares the rule's own Atom objects, as instantiate() does.
+    The size change is (non-variable nodes of rhs - those of lhs) plus
+    (occurrences in rhs - 1) * size of the binding, over the variables a
+    rule erases or duplicates.
+    """
+    lines: list[str] = []
+    env: dict[str, object] = {"App": App, "Atom": Atom, "term_size": term_size}
+    bound: dict[str, str] = {}
+    delta = 0
+    stack = [(rule.lhs, "node")]
+    while stack:
+        p, x = stack.pop()
+        if type(p) is Var:
+            bound[p.name] = x
+            continue
+        delta -= 1
+        if type(p) is Atom:
+            lines.append(f"if type({x}) is not Atom or {x}.name != {p.name!r}:"
+                         " return None")
+            continue
+        f, a = f"_m{len(lines)}f", f"_m{len(lines)}a"
+        lines.append(f"if type({x}) is not App: return None")
+        lines.append(f"{f} = {x}.fun; {a} = {x}.arg")
+        stack.append((p.arg, a))
+        stack.append((p.fun, f))
+    uses = dict.fromkeys(bound, 0)
+    out: list[str] = []
+    work: list[tuple[Term, bool]] = [(rule.rhs, False)]
+    while work:
+        t, built = work.pop()
+        if type(t) is Var:
+            uses[t.name] += 1
+            out.append(bound[t.name])
+            continue
+        if not built and type(t) is App:
+            work.append((t, True))
+            work.append((t.arg, False))
+            work.append((t.fun, False))
+            continue
+        delta += 1
+        if type(t) is Atom:
+            name = f"_c{len(env)}"
+            env[name] = t
+        else:
+            a = out.pop()
+            name = f"_b{len(lines)}"
+            lines.append(f"{name} = App({out.pop()}, {a})")
+        out.append(name)
+    lines.append(f"delta = {delta}")
+    for v, n in uses.items():
+        if n != 1:
+            lines.append(f"delta += {n - 1} * term_size({bound[v]})")
+    lines.append(f"return {out[0]}, delta")
+    src = "def fire(node):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(_code(src), env)
+    return env["fire"]
+
+
+@lru_cache(maxsize=128)
+def _code(src: str) -> CodeType:
+    """Rules of one shape share one code object, so a catalog loaded again,
+    whose `hyp` rules are new objects, does not compile them again."""
+    return compile(src, "<rewrite rule>", "exec")
 
 
 def parse_rule(line: str, lineno: int = 0) -> RewriteRule:
@@ -150,7 +238,7 @@ class RuleSet:
         object.__setattr__(self, "_max_arity",
                            max((r.arity for r in self.rules), default=0))
         object.__setattr__(self, "window",
-                           max((_depth(r.lhs) for r in self.rules), default=0))
+                           max((r.depth for r in self.rules), default=0))
 
     def __iter__(self) -> Iterator[RewriteRule]:
         return iter(self.rules)
@@ -159,25 +247,39 @@ class RuleSet:
         return len(self.rules)
 
     def extend(self, *more: RewriteRule) -> "RuleSet":
-        return RuleSet(self.rules + tuple(more))
+        """This set with more rules after it; the set itself when there are
+        none, since it is frozen."""
+        return RuleSet(self.rules + more) if more else self
+
+    def _bucket(self, node: Term) -> tuple[RewriteRule, ...]:
+        """The rules whose head and arity fit node, in catalog order: walk
+        down the application spine to the head atom."""
+        cur = node
+        d = 0
+        while type(cur) is App and d < self._max_arity:
+            cur = cur.fun
+            d += 1
+        if type(cur) is Atom:
+            return self._by_head_arity.get((cur.name, d), ())
+        return ()
 
     def match_at(self, node: Term) -> Optional[tuple[RewriteRule, dict[str, Term]]]:
         """First rule (catalog order) whose left side matches at this node,
-        with its substitution, or None."""
-        cur = node
-        d = 0
-        while True:
-            if type(cur) is Atom:
-                for rule in self._by_head_arity.get((cur.name, d), ()):
-                    sigma = match(rule.lhs, node)
-                    if sigma is not None:
-                        return rule, sigma
-                return None
-            if type(cur) is App and d < self._max_arity:
-                cur = cur.fun
-                d += 1
-                continue
-            return None
+        with its substitution, or None.  The reference for fire_at."""
+        for rule in self._bucket(node):
+            sigma = match(rule.lhs, node)
+            if sigma is not None:
+                return rule, sigma
+        return None
+
+    def fire_at(self, node: Term) -> Optional[tuple[RewriteRule, Term, int]]:
+        """First rule (catalog order) that fires at this node, with the
+        contractum and the change in term size, or None."""
+        for rule in self._bucket(node):
+            hit = rule.fire(node)
+            if hit is not None:
+                return rule, hit[0], hit[1]
+        return None
 
 
 def match(pattern: Term, term: Term) -> Optional[dict[str, Term]]:
@@ -312,6 +414,7 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
     nsteps = 0
     total = term_size(t)
     window = rules.window
+    fire_at = rules.fire_at
 
     def zip_all(f: Term) -> Term:
         for kind, sib in reversed(frames):
@@ -323,7 +426,7 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
             if id(focus) in seen:
                 down = False
                 continue
-            m = rules.match_at(focus)
+            m = fire_at(focus)
             if m is None:
                 if type(focus) is App:
                     frames.append((0, focus.arg))
@@ -332,13 +435,12 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
                     seen[id(focus)] = focus
                     down = False
                 continue
-            rule, sigma = m
+            rule, contractum, delta = m
             while True:  # fire, then chase re-enabled ancestors
                 if nsteps >= max_steps:
                     return zip_all(focus), nsteps, BUDGET_EXHAUSTED
-                contractum = instantiate(rule.rhs, sigma)
                 nsteps += 1
-                total += term_size(contractum) - term_size(focus)
+                total += delta
                 focus = contractum
                 if record is not None:
                     record(rule.name, tuple("fun" if kind == 0 else "arg"
@@ -358,14 +460,14 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
                     anc.append(cur)
                 hit = None
                 for j in range(k - 1, -1, -1):  # outermost candidate first
-                    mm = rules.match_at(anc[j])
+                    mm = fire_at(anc[j])
                     if mm is not None:
                         hit = j, mm
                         break
                 if hit is None:
                     frames.extend(popped)
                     break
-                j, (rule, sigma) = hit
+                j, (rule, contractum, delta) = hit
                 frames.extend(popped[:k - 1 - j])
                 focus = anc[j]
             # no enclosing redex: scan the contractum
@@ -396,6 +498,7 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int, max_size: int,
     vs: list[Term] = []
     nsteps = 0
     total = term_size(t)
+    fire_at = rules.fire_at
 
     def rebuild(hole: Term) -> Term:
         """The whole term with hole at the focus; the stacks are left as
@@ -417,16 +520,15 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int, max_size: int,
         return tuple("arg" if i + 1 < len(ws) and ws[i + 1] is not _MK else "fun"
                      for i, op in enumerate(ws) if op is _MK)
 
-    def fire(node: Term, m) -> Optional[Term]:
+    def fire(m) -> Optional[Term]:
         """Returns the contractum, or None when stopping; the caller returns
         the rebuilt whole term."""
         nonlocal nsteps, total
-        rule, sigma = m
+        rule, c, delta = m
         if nsteps >= max_steps:
             return None
-        c = instantiate(rule.rhs, sigma)
         nsteps += 1
-        total += term_size(c) - term_size(node)
+        total += delta
         if record is not None:
             record(rule.name, position(), rebuild(c))
         return c
@@ -437,12 +539,12 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int, max_size: int,
             f = vs.pop()
             a = vs.pop()
             node = App(f, a)
-            m = rules.match_at(node)
+            m = fire_at(node)
             if m is None:
                 seen[id(node)] = node
                 vs.append(node)
                 continue
-            c = fire(node, m)
+            c = fire(m)
             if c is None:
                 return rebuild(node), nsteps, BUDGET_EXHAUSTED
             if total > max_size:
@@ -458,12 +560,12 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int, max_size: int,
                 ws.append(("eval", node.fun))
                 ws.append(("eval", node.arg))
             else:
-                m = rules.match_at(node)
+                m = fire_at(node)
                 if m is None:
                     seen[id(node)] = node
                     vs.append(node)
                     continue
-                c = fire(node, m)
+                c = fire(m)
                 if c is None:
                     return rebuild(node), nsteps, BUDGET_EXHAUSTED
                 if total > max_size:

@@ -90,23 +90,40 @@ def term_size(t: Term) -> int:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """Free variable names of t.  Atoms contribute nothing."""
+    """Free variable names of t.  Atoms contribute nothing.  Cached on the
+    node, like term_size, and iterative for the same reason."""
     cached = getattr(t, "_fv", None)
     if cached is not None:
         return cached
-    match t:
-        case Var(name):
-            fv = frozenset((name,))
-        case Atom(_):
+    stack = [t]
+    while stack:  # post-order: a node is done once its children are
+        n = stack[-1]
+        ty = type(n)
+        if ty is App:
+            f, a = n.fun, n.arg
+            ff, fa = getattr(f, "_fv", None), getattr(a, "_fv", None)
+            if ff is None or fa is None:
+                if ff is None:
+                    stack.append(f)
+                if fa is None:
+                    stack.append(a)
+                continue
+            fv = ff | fa
+        elif ty is Lam:
+            fb = getattr(n.body, "_fv", None)
+            if fb is None:
+                stack.append(n.body)
+                continue
+            fv = fb - {n.binder}
+        elif ty is Var:
+            fv = frozenset((n.name,))
+        elif ty is Atom:
             fv = frozenset()
-        case App(f, a):
-            fv = free_vars(f) | free_vars(a)
-        case Lam(b, body):
-            fv = free_vars(body) - {b}
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-    object.__setattr__(t, "_fv", fv)
-    return fv
+        else:
+            raise TypeError(f"not a term: {n!r}")
+        object.__setattr__(n, "_fv", fv)
+        stack.pop()
+    return t._fv
 
 
 def fresh_var(avoid: set[str] | frozenset[str], hint: str = "v") -> str:

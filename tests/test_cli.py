@@ -91,6 +91,13 @@ class TestCompileCommand:
         want = "S (" * n + "K f" + ") (K x)" * n + "\n"
         assert run(capsys, cmd, "\\y. " + src) == (EXIT_OK, want, "")
 
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_eta_deep_spine(self, capsys, n):
+        # \y. f x … x y is an eta redex whose body is n + 1 deep
+        src = "f" + " x" * n
+        assert run(capsys, "compile", "--eta", f"\\y. {src} y") == (
+            EXIT_OK, src + "\n", "")
+
 
 class TestReduceCommand:
     def test_normal_form_only(self, capsys):
@@ -130,6 +137,21 @@ class TestReduceCommand:
         f.write_text("swap: W x y => y x\n")
         _, out, _ = run(capsys, "reduce", "--rules", str(f), "W a b")
         assert out.strip() == "b a"
+
+    def test_rule_with_thousands_of_arguments(self, capsys, tmp_path):
+        # F takes 10^4 arguments and G gets them back reversed, with x0
+        # duplicated and x1 erased; the matcher is generated as flat code
+        n = 10_000
+        xs = [f"x{i}" for i in range(n)]
+        f = tmp_path / "wide.rules"
+        f.write_text(f"rev: F {' '.join(xs)} => G x0 {' '.join(xs[:1:-1])} x0\n")
+        args = [f"a{i}" for i in range(n)]
+        want = f"G a0 {' '.join(args[:1:-1])} a0\n"
+        assert run(capsys, "reduce", "--rules", str(f),
+                   "F " + " ".join(args)) == (EXIT_OK, want, "")
+        # too few arguments: F is not a redex
+        assert run(capsys, "reduce", "--rules", str(f), "F b") == (
+            EXIT_OK, "F b\n", "")
 
     def test_missing_rules_file(self, capsys):
         code, _, err = run(capsys, "reduce", "--rules", "/nonexistent", "x")

@@ -2,10 +2,16 @@
 and step-for-step agreement between the zipper machines and the rescanning
 spec reducer."""
 
+import itertools
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clsh
 from clsh.rewrite import (
     BUDGET_EXHAUSTED,
     CL_BASE,
@@ -22,8 +28,9 @@ from clsh.rewrite import (
     parse_rule,
     parse_rules,
 )
-from clsh.syntax import parse
-from clsh.terms import App, Atom, Var, subterm_at, replace_at, term_size
+from clsh.syntax import format_term, parse
+from clsh.terms import (App, Atom, Var, app, positions, replace_at, subterm_at,
+                        term_size)
 
 from conftest import cl_terms
 from spec_engines import normalize as spec_normalize, reduce_step
@@ -115,6 +122,21 @@ class TestRuleValidation:
         assert fast == parse("(K I) (K I)")
         assert (n, status) == (2, NORMAL_FORM)
 
+    def test_deep_sides(self):
+        # F (G (G … (G x))) => H (H … (H x)), 10^4 deep, built without the
+        # parser (nested parentheses make it recurse)
+        n = 10_000
+        lhs, rhs, t = Var("x"), Var("x"), Atom("a")
+        for _ in range(n):
+            lhs, rhs, t = (App(Atom("G"), lhs), App(Atom("H"), rhs),
+                           App(Atom("G"), t))
+        r = make_rule("deep", App(Atom("F"), lhs), rhs)
+        assert (r.arity, r.depth, r.metavars) == (1, n + 1, frozenset("x"))
+        contractum, delta = r.fire(App(Atom("F"), t))
+        assert format_term(contractum) == "H (" * (n - 1) + "H a" + ")" * (n - 1)
+        assert delta == -2
+        assert r.fire(App(Atom("F"), App(Atom("G"), Atom("a")))) is None
+
     def test_duplicate_names_rejected(self):
         r = make_rule("W", parse("W x"), parse("x"))
         with pytest.raises(IllFormedRuleError):
@@ -167,6 +189,143 @@ class TestMatching:
         assert m is not None and m[0].name == "S"
         # an oversaturated head is matched at the inner node, not the root
         assert FULL.match_at(parse("I a b")) is None
+
+
+# Random rule sets: atom-headed, linear left sides with nested atom-headed
+# patterns (like p (D x y)), and right sides that erase and duplicate
+# variables.  Three heads and arities up to 3 make shared buckets common.
+RULE_HEADS = ("F", "G", "V")
+PATTERN_ATOMS = ("D", "K", "M")
+
+
+@st.composite
+def _pattern(draw, fresh, depth):
+    kind = draw(st.sampled_from(("var", "var", "atom", "app")[:4 if depth else 3]))
+    if kind == "var":
+        return Var(next(fresh))
+    head = Atom(draw(st.sampled_from(PATTERN_ATOMS)))
+    if kind == "atom":
+        return head
+    n = draw(st.integers(1, 2))
+    return app(head, *(draw(_pattern(fresh, depth - 1)) for _ in range(n)))
+
+
+@st.composite
+def random_rules(draw):
+    rules = []
+    for i in range(draw(st.integers(1, 6))):
+        fresh = (f"x{k}" for k in itertools.count())
+        head = Atom(draw(st.sampled_from(RULE_HEADS)))
+        args = [draw(_pattern(fresh, 2)) for _ in range(draw(st.integers(0, 3)))]
+        lhs = app(head, *args)
+        names = sorted({v.name for _, v in positions(lhs) if type(v) is Var})
+        leaves = st.sampled_from(RULE_HEADS + PATTERN_ATOMS).map(Atom)
+        if names:
+            leaves = leaves | st.sampled_from(names).map(Var)
+        rhs = draw(st.recursive(leaves, lambda c: st.builds(App, c, c),
+                                max_leaves=8))
+        rules.append(make_rule(f"r{i}", lhs, rhs))
+    return RuleSet(tuple(rules))
+
+
+# terms over the random rules' atoms; instances of their left sides are
+# drawn as well, so that most rules fire somewhere
+_rule_atoms = st.sampled_from(RULE_HEADS + PATTERN_ATOMS + ("I",)).map(Atom)
+rule_terms = st.recursive(_rule_atoms | st.sampled_from(("a", "b")).map(Var),
+                          lambda c: st.builds(App, c, c), max_leaves=12)
+
+
+def _instance(rule, draw_term):
+    """rule.lhs with each variable replaced by a drawn term."""
+    return instantiate(rule.lhs, {v: draw_term() for v in rule.metavars})
+
+
+def _fire_agrees(rules, t):
+    """fire_at and each rule's fire against match_at/match + instantiate,
+    at every node of t."""
+    for _, sub in positions(t):
+        ref = rules.match_at(sub)
+        got = rules.fire_at(sub)
+        if ref is None:
+            assert got is None
+        else:
+            rule, sigma = ref
+            contractum = instantiate(rule.rhs, sigma)
+            assert got[0] is rule
+            assert got[1] == contractum
+            assert got[2] == term_size(contractum) - term_size(sub)
+        for rule in rules:
+            sigma = match(rule.lhs, sub)
+            hit = rule.fire(sub)
+            if sigma is None:
+                assert hit is None
+            else:
+                contractum = instantiate(rule.rhs, sigma)
+                assert hit == (contractum,
+                               term_size(contractum) - term_size(sub))
+
+
+class TestCompiledRules:
+    """The generated matchers fire exactly where match_at/match and
+    instantiate say, build the same contractum and measure its size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cl_terms, st.sampled_from((FULL, CL_BASE)))
+    def test_builtin_rules(self, t, rules):
+        _fire_agrees(rules, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_rules(), st.data())
+    def test_random_rules(self, rules, data):
+        def draw_term():
+            return data.draw(rule_terms)
+
+        _fire_agrees(rules, draw_term())
+        for rule in rules:
+            _fire_agrees(rules, _instance(rule, draw_term))
+
+    def test_catalog_order_in_a_shared_bucket(self):
+        # the catalog's hyp appval and pairval share the bucket (V, 2);
+        # V (D a b) r matches both, and the earlier one wins
+        appval = parse_rule("appval: V (m n) r => V m r (V n r)")
+        pairval = parse_rule("pairval: V (D a b) r => D (V a r) (V b r)")
+        for first, second in ((appval, pairval), (pairval, appval)):
+            rules = FULL.extend(first, second)
+            for src in ("V (D a b) r", "V (f x) r", "V f r", "p (V (D a b) r)"):
+                _fire_agrees(rules, parse(src))
+            assert rules.fire_at(parse("V (D a b) r"))[0] is first
+
+    def test_contractum_shares_bindings_and_rule_atoms(self):
+        eps = next(r for r in FULL if r.name == "eps")
+        node = parse("eps (f x)")
+        contractum, _ = eps.fire(node)
+        assert contractum.fun is node.arg
+        assert contractum.arg is eps.rhs.arg
+
+    def test_rules_compile_on_first_use(self):
+        r = parse_rule("twist: W x y => y x")
+        assert "fire" not in vars(r)
+        rules = FULL.extend(r)
+        assert rules.fire_at(parse("W a b"))[1] == parse("b a")
+        assert "fire" in vars(r)
+        # extending a set keeps its rule objects, and with them their
+        # compiled matchers
+        assert all(a is b for a, b in zip(rules, FULL))
+        # a rule read again (a reloaded catalog's hyp) is not compiled again
+        again = parse_rule("twist: W x y => y x")
+        assert again.fire is not r.fire
+        assert again.fire.__code__ is r.fire.__code__
+        # importing clsh compiles nothing
+        code = ("import clsh.rewrite as r; "
+                "print(sum('fire' in vars(x) for x in r.FULL))")
+        src = os.path.dirname(os.path.dirname(clsh.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out == "0\n"
+
+    def test_extend_with_nothing_is_the_same_set(self):
+        assert FULL.extend() is FULL
 
 
 class TestStrategies:

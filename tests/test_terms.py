@@ -40,6 +40,17 @@ class TestBasics:
         assert free_vars(t) == frozenset({"y"})
         assert free_vars(Atom("S")) == frozenset()
 
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_free_vars_deep_spine(self, n):
+        t = app(Var("f"), *[Var("x")] * n, Var("y"))
+        assert free_vars(t) == frozenset({"f", "x", "y"})
+
+    def test_free_vars_under_many_binders(self):
+        t = Var("y")
+        for i in range(10_000):
+            t = Lam(f"v{i}", App(t, Var(f"v{i}")))
+        assert free_vars(t) == frozenset({"y"})
+
     def test_fresh_var(self):
         assert fresh_var(frozenset()) == "v"
         assert fresh_var(frozenset({"v", "v1"})) == "v2"
