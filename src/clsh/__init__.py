@@ -60,7 +60,7 @@ from .disassemble import (
     expand_derived,
     lambda_definition,
 )
-from .lam import beta_normalize_fast, eta_step
+from .lam import beta_normalize_fast
 from .checks import (
     CatalogError,
     ChainStep,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cache
 
 from .syntax import parse
-from .terms import App, Atom, Lam, Term, Var, free_vars
+from .terms import App, Atom, Lam, Term, Var, fold, free_vars
 
 
 class NestedLambdaError(ValueError):
@@ -36,62 +36,40 @@ class NoDefinitionError(KeyError):
 
 def compile_abstraction(x: str, body: Term) -> Term:
     """Eliminate one binder from a lambda-free body."""
-    out: list[Term] = []
-    work: list[tuple[Term, bool]] = [(body, False)]
-    while work:
-        node, combine = work.pop()
-        if combine:
-            a = out.pop()
-            f = out.pop()
-            out.append(App(App(Atom("S"), f), a))
-            continue
-        match node:
-            case Var(n) if n == x:
-                out.append(Atom("I"))
-            case Var(_) | Atom(_):
-                out.append(App(Atom("K"), node))
-            case App(f, a):
-                work.append((node, True))
-                work.append((a, False))
-                work.append((f, False))
-            case Lam(_, _):
-                raise NestedLambdaError(
-                    "body still contains a lambda; eliminate inner binders first")
-    return out[0]
+    def leaf(n: Term) -> Term:
+        return Atom("I") if type(n) is Var and n.name == x else App(Atom("K"), n)
+
+    return fold(body, leaf, _s_split, _nested_lambda)
+
+
+def _s_split(n: App, f: Term, a: Term) -> Term:
+    return App(App(Atom("S"), f), a)
+
+
+def _nested_lambda(n: Lam, b: Term) -> Term:
+    raise NestedLambdaError(
+        "body still contains a lambda; eliminate inner binders first")
 
 
 def compile_term(t: Term, use_eta: bool = False) -> Term:
     """Replace every lambda in t by its I/K/S disassembly, innermost first.
     The result has no Lam nodes; variables that were free stay free."""
-    out: list[Term] = []
-    work: list[tuple[Term, bool]] = [(t, False)]
-    while work:
-        node, combine = work.pop()
-        if combine:
-            if type(node) is App:
-                a = out.pop()
-                out.append(App(out.pop(), a))
-                continue
-            x, b = node.binder, out.pop()
-            if (use_eta and type(b) is App and type(b.arg) is Var
-                    and b.arg.name == x and x not in free_vars(b.fun)):
-                out.append(b.fun)
-            else:
-                out.append(compile_abstraction(x, b))
-            continue
-        match node:
-            case Atom(_) | Var(_):
-                out.append(node)
-            case App(f, a):
-                work.append((node, True))
-                work.append((a, False))
-                work.append((f, False))
-            case Lam(_, body):
-                work.append((node, True))
-                work.append((body, False))
-            case _:
-                raise TypeError(f"not a term: {node!r}")
-    return out[0]
+    def lam(n: Lam, b: Term) -> Term:
+        x = n.binder
+        if (use_eta and type(b) is App and type(b.arg) is Var
+                and b.arg.name == x and x not in free_vars(b.fun)):
+            return b.fun
+        return compile_abstraction(x, b)
+
+    return fold(t, _same, _rebuild_app, lam)
+
+
+def _same(n: Term) -> Term:
+    return n
+
+
+def _rebuild_app(n: App, f: Term, a: Term) -> Term:
+    return App(f, a)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +120,17 @@ def define_as_ski(name: str) -> Term:
 
 
 def expand_derived(t: Term) -> Term:
-    """Replace every derived atom by its basis unfolding, recursively, so
-    only I, K, S, and atoms without definitions remain."""
-    match t:
-        case Atom(n) if n in DERIVED_NAMES:
-            return expand_derived(define_as_ski(n))
-        case App(f, a):
-            return App(expand_derived(f), expand_derived(a))
-        case Lam(x, body):
-            return Lam(x, expand_derived(body))
-        case _:
-            return t
+    """Replace every derived atom by its basis unfolding, so only I, K, S,
+    and atoms without definitions remain."""
+    return fold(t, _unfold, _rebuild_app, lambda n, b: Lam(n.binder, b))
+
+
+def _unfold(n: Term) -> Term:
+    """A derived atom's basis unfolding, any other leaf itself.  B2's
+    definition, B B B, is the only one that holds derived atoms."""
+    if type(n) is not Atom or n.name not in DERIVED_NAMES:
+        return n
+    if n.name == "B2":
+        b = define_as_ski("B")
+        return App(App(b, b), b)
+    return define_as_ski(n.name)

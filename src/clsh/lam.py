@@ -1,10 +1,7 @@
 """Beta reduction, used as an independent oracle for the disassembler.
 
 Reduction is normal order (leftmost-outermost, going under binders), with
-atoms treated as inert constants: no delta rules fire here.  Optionally a
-final eta pass contracts \\x.M x to M; eta contraction of a beta normal form
-cannot create new beta redexes, since the lambda being removed was not in
-function position and M cannot be a lambda.
+atoms treated as inert constants: no delta rules fire here.
 
 beta_normalize_fast() runs a spine machine that never rescans from the
 root.  The rescanning reducer that defines normal order lives in the test
@@ -14,40 +11,19 @@ the same outcome.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .rewrite import (
     BUDGET_EXHAUSTED,
     DEFAULT_MAX_SIZE,
     DEFAULT_MAX_STEPS,
     NORMAL_FORM,
 )
-from .terms import (
-    App,
-    Lam,
-    Position,
-    Term,
-    Var,
-    free_vars,
-    positions,
-    replace_at,
-    substitute,
-    term_size,
-)
+from .terms import App, Lam, Term, substitute, term_size
 
 
-def eta_step(t: Term) -> Optional[tuple[Position, Term]]:
-    """Contract the leftmost-outermost eta redex, or None if there is none."""
-    for pos, sub in positions(t, into_lam=True):
-        match sub:
-            case Lam(x, App(f, Var(y))) if y == x and x not in free_vars(f):
-                return pos, replace_at(t, pos, f)
-    return None
-
-
-def _beta_machine(t: Term, max_steps: int,
-                  max_size: int) -> tuple[Term, int, str]:
-    """Spine machine for normal order.
+def beta_normalize_fast(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
+                        max_size: int = DEFAULT_MAX_SIZE) -> tuple[Term, int, str]:
+    """Normal order normalization, (final term, steps fired, status), on a
+    spine machine.
 
     Descend the function spine; a lambda meeting a pending argument frame is
     the leftmost-outermost redex, so fire there and keep going.  A stuck head
@@ -115,22 +91,3 @@ def _beta_machine(t: Term, max_steps: int,
                 seen[id(node)] = node
                 focus = node
 
-
-def beta_normalize_fast(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
-                        use_eta: bool = False,
-                        max_size: int = DEFAULT_MAX_SIZE) -> tuple[Term, int, str]:
-    """Normal order normalization, (final term, steps fired, status); eta
-    steps, when asked for, run after the beta phase and share the step
-    budget."""
-    cur, nsteps, status = _beta_machine(t, max_steps, max_size)
-    if use_eta and status == NORMAL_FORM:
-        while True:
-            m = eta_step(cur)
-            if m is None:
-                break
-            if nsteps >= max_steps:
-                status = BUDGET_EXHAUSTED
-                break
-            _, cur = m
-            nsteps += 1
-    return cur, nsteps, status

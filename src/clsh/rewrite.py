@@ -38,6 +38,7 @@ from .terms import (
     Position,
     Term,
     Var,
+    fold,
     pos_to_str,
     spine,
     term_size,
@@ -75,33 +76,25 @@ class RewriteRule:
         return _compile(self)
 
 
-def _side(t: Term) -> tuple[list[str], int, bool]:
-    """Variable occurrences of a rule side (left to right), its App depth,
-    and whether it holds a lambda.  Iterative: a rule may have thousands
-    of arguments."""
+def _side(t: Term, name: str) -> tuple[list[str], int]:
+    """Variable occurrences of rule name's side t (left to right) and its
+    App depth; a lambda is an error."""
     occs: list[str] = []
-    depth = 0
-    has_lam = False
-    stack = [(t, 0)]
-    while stack:
-        n, d = stack.pop()
-        if type(n) is App:
-            stack.append((n.arg, d + 1))
-            stack.append((n.fun, d + 1))
-            continue
-        depth = max(depth, d)
+
+    def leaf(n: Term) -> int:
         if type(n) is Var:
             occs.append(n.name)
-        elif type(n) is Lam:
-            has_lam = True
-    return occs, depth, has_lam
+        return 0
+
+    def lam(n: Lam, b: int) -> int:
+        raise IllFormedRuleError(f"rule {name}: lambdas are not allowed in rules")
+
+    return occs, fold(t, leaf, lambda n, f, a: 1 + max(f, a), lam)
 
 
 def make_rule(name: str, lhs: Term, rhs: Term) -> RewriteRule:
-    occs, depth, lhs_lam = _side(lhs)
-    rvars, _, rhs_lam = _side(rhs)
-    if lhs_lam or rhs_lam:
-        raise IllFormedRuleError(f"rule {name}: lambdas are not allowed in rules")
+    occs, depth = _side(lhs, name)
+    rvars, _ = _side(rhs, name)
     head, args = spine(lhs)
     if type(head) is not Atom:
         raise IllFormedRuleError(f"rule {name}: left side must be headed by an atom")
@@ -306,15 +299,14 @@ def match(pattern: Term, term: Term) -> Optional[dict[str, Term]]:
 
 
 def instantiate(template: Term, sigma: dict[str, Term]) -> Term:
-    match template:
-        case Var(n):
-            return sigma[n]
-        case Atom(_):
-            return template
-        case App(f, a):
-            return App(instantiate(f, sigma), instantiate(a, sigma))
-        case _:
-            raise IllFormedRuleError("lambda in rule template")
+    """template with each variable replaced by its binding in sigma; the
+    template's atoms are shared."""
+    return fold(template, lambda n: sigma[n.name] if type(n) is Var else n,
+                lambda n, f, a: App(f, a), _lam_in_template)
+
+
+def _lam_in_template(n: Lam, b: Term) -> Term:
+    raise IllFormedRuleError("lambda in rule template")
 
 
 # ---------------------------------------------------------------------------

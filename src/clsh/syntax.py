@@ -25,7 +25,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 
-from .terms import ATOM_CATALOG, App, Atom, Lam, Term, Var
+from .terms import ATOM_CATALOG, App, Atom, Lam, Term, Var, fold
 
 _GREEK = {"λ": "\\", "ε": "eps", "Φ": "Phi", "Ψ": "Psi", "ρ": "rho"}
 
@@ -223,7 +223,11 @@ class _Parser:
 
 def parse(text: str, cfg: SyntaxConfig = DEFAULT_SYNTAX) -> Term:
     p = _Parser(_tokenize(text, cfg), cfg)
-    t = p.parse_expr()
+    try:
+        t = p.parse_expr()
+    except RecursionError:
+        tok = p.peek()
+        raise TermSyntaxError("term nested too deeply", tok.line, tok.col) from None
     tok = p.peek()
     if tok.kind != "EOF":
         p.fail(f"unexpected token {p.describe(tok)} after term", tok)
@@ -277,29 +281,15 @@ def format_term(t: Term) -> str:
 # ---------------------------------------------------------------------------
 # the raw tree: JSON and s-expression forms
 
-# Stack markers: build an App (a Lam) from what the walk has built last.
-_APP_END, _LAM_END = object(), object()
-
-
 def to_json(t: Term) -> dict:
     """Nested dicts, built without recursion."""
-    done: list[dict] = []
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        if node is _APP_END:
-            done[-2:] = [{"app": done[-2:]}]
-        elif node is _LAM_END:
-            done[-1] = {"lam": [stack.pop(), done[-1]]}
-        elif type(node) is App:
-            stack += (_APP_END, node.arg, node.fun)
-        elif type(node) is Lam:
-            stack += (node.binder, _LAM_END, node.body)
-        elif type(node) in (Atom, Var):
-            done.append({"atom" if type(node) is Atom else "var": node.name})
-        else:
-            raise TypeError(f"not a term: {node!r}")
-    return done[0]
+    return fold(t, lambda n: {"atom" if type(n) is Atom else "var": n.name},
+                lambda n, f, a: {"app": [f, a]},
+                lambda n, b: {"lam": [n.binder, b]})
+
+
+# Stack markers: build an App (a Lam) from what the walk has built last.
+_APP_END, _LAM_END = object(), object()
 
 
 def from_json(obj: dict) -> Term:

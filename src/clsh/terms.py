@@ -9,7 +9,7 @@ structurally; use alpha_eq for comparison up to bound-variable renaming.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
 # The built-in atom inventory.  I/K/S are the basis; the rest are the derived
 # combinators the rewrite engine knows about, plus the opaque valuation head V
@@ -57,11 +57,68 @@ class InvalidPositionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# the fold
+
+# Work-stack markers: the results for an App's (a Lam's) children are on top
+# of the result stack.
+_APP_DONE, _LAM_DONE = object(), object()
+
+
+def fold(t: Term, leaf: Callable, app: Callable, lam: Callable,
+         cache: Optional[str] = None):
+    """Fold t bottom-up on an explicit stack, so any depth works.
+
+    leaf(n) is called at each Atom or Var, left to right; app(n, f, a) and
+    lam(n, b) get the node and the results for its children.  Any other
+    node raises TypeError.  Given cache, each node's result is stored in
+    that attribute, and a subtree whose root already holds one is not
+    walked again; results must then never be None.
+    """
+    if cache is not None:
+        r = getattr(t, cache, None)
+        if r is not None:
+            return r
+    out: list = []
+    work: list = [t]
+    while work:
+        n = work.pop()
+        if n is _APP_DONE:
+            n = work.pop()
+            a = out.pop()
+            r = app(n, out.pop(), a)
+        elif n is _LAM_DONE:
+            n = work.pop()
+            r = lam(n, out.pop())
+        else:
+            if cache is not None:
+                r = getattr(n, cache, None)
+                if r is not None:
+                    out.append(r)
+                    continue
+            ty = type(n)
+            if ty is App:
+                work += (n, _APP_DONE, n.arg, n.fun)
+                continue
+            if ty is Lam:
+                work += (n, _LAM_DONE, n.body)
+                continue
+            if ty is not Atom and ty is not Var:
+                raise TypeError(f"not a term: {n!r}")
+            r = leaf(n)
+        if cache is not None:
+            object.__setattr__(n, cache, r)
+        out.append(r)
+    return out[0]
+
+
+# ---------------------------------------------------------------------------
 # basic queries
 
 def term_size(t: Term) -> int:
     """Number of nodes.  Cached on the node, since the rewrite machines ask
     for sizes of shared subterms constantly."""
+    # not a fold: this is the machines' hot path, and a fold's callbacks
+    # cost about a third more per fresh node
     cached = getattr(t, "_size", None)
     if cached is not None:
         return cached
@@ -79,10 +136,10 @@ def term_size(t: Term) -> int:
         elif type(n) is Lam:
             stack.append(n.body)
     for n in reversed(order):
-        if type(n) is App:
-            s = 1 + term_size(n.fun) + term_size(n.arg)
+        if type(n) is App:  # children come first in this order
+            s = 1 + n.fun._size + n.arg._size
         elif type(n) is Lam:
-            s = 1 + term_size(n.body)
+            s = 1 + n.body._size
         else:
             s = 1
         object.__setattr__(n, "_size", s)
@@ -91,39 +148,20 @@ def term_size(t: Term) -> int:
 
 def free_vars(t: Term) -> frozenset[str]:
     """Free variable names of t.  Atoms contribute nothing.  Cached on the
-    node, like term_size, and iterative for the same reason."""
-    cached = getattr(t, "_fv", None)
-    if cached is not None:
-        return cached
-    stack = [t]
-    while stack:  # post-order: a node is done once its children are
-        n = stack[-1]
-        ty = type(n)
-        if ty is App:
-            f, a = n.fun, n.arg
-            ff, fa = getattr(f, "_fv", None), getattr(a, "_fv", None)
-            if ff is None or fa is None:
-                if ff is None:
-                    stack.append(f)
-                if fa is None:
-                    stack.append(a)
-                continue
-            fv = ff | fa
-        elif ty is Lam:
-            fb = getattr(n.body, "_fv", None)
-            if fb is None:
-                stack.append(n.body)
-                continue
-            fv = fb - {n.binder}
-        elif ty is Var:
-            fv = frozenset((n.name,))
-        elif ty is Atom:
-            fv = frozenset()
-        else:
-            raise TypeError(f"not a term: {n!r}")
-        object.__setattr__(n, "_fv", fv)
-        stack.pop()
-    return t._fv
+    node, like term_size."""
+    return fold(t, _leaf_vars, _union_vars, _bind_var, "_fv")
+
+
+def _leaf_vars(n: Term) -> frozenset[str]:
+    return frozenset((n.name,)) if type(n) is Var else frozenset()
+
+
+def _union_vars(n: App, f: frozenset[str], a: frozenset[str]) -> frozenset[str]:
+    return f | a
+
+
+def _bind_var(n: Lam, b: frozenset[str]) -> frozenset[str]:
+    return b - {n.binder}
 
 
 def fresh_var(avoid: set[str] | frozenset[str], hint: str = "v") -> str:
@@ -180,13 +218,17 @@ def _subst_env(t: Term, env: dict[str, Term]) -> Term:
     recursion limit (the beta machine substitutes into large bodies)."""
     if not env:
         return t
-    APPMARK, LAMMARK = 0, 1
-    work: list = [(t, env)]
+    work: list = [env, t]  # a node sits above its env; a Lam's marker above its binder
     out: list[Term] = []
     while work:
-        item = work.pop()
-        if type(item) is tuple and len(item) == 2 and not isinstance(item[0], int):
-            node, env = item
+        node = work.pop()
+        if node is _APP_DONE:
+            a = out.pop()
+            out.append(App(out.pop(), a))
+        elif node is _LAM_DONE:
+            out.append(Lam(work.pop(), out.pop()))
+        else:
+            env = work.pop()
             match node:
                 case Var(n):
                     out.append(env.get(n, node))
@@ -196,9 +238,7 @@ def _subst_env(t: Term, env: dict[str, Term]) -> Term:
                     if not (free_vars(node) & env.keys()):
                         out.append(node)
                         continue
-                    work.append((APPMARK, None))
-                    work.append((a, env))
-                    work.append((f, env))
+                    work += (_APP_DONE, env, a, env, f)
                 case Lam(b, body):
                     env2 = {k: v for k, v in env.items() if k != b and k in free_vars(body)}
                     if not env2:
@@ -211,17 +251,7 @@ def _subst_env(t: Term, env: dict[str, Term]) -> Term:
                     if b in clash:
                         nb = fresh_var(clash | free_vars(body) | set(env2), b)
                         env2[b] = Var(nb)
-                    work.append((LAMMARK, nb))
-                    work.append((body, env2))
-        else:
-            mark, extra = item
-            if mark == APPMARK:
-                a = out.pop()
-                f = out.pop()
-                out.append(App(f, a))
-            else:
-                body = out.pop()
-                out.append(Lam(extra, body))
+                    work += (nb, _LAM_DONE, env2, body)
     assert len(out) == 1
     return out[0]
 

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for term generation.
+"""Shared hypothesis strategies for term generation, and deep terms.
 
 Variable names are drawn from a fixed pool that avoids every name the parser
 reserves (catalog atoms, single capitals, the lambda keyword), so any
@@ -62,3 +62,28 @@ def closed_lambdas(draw, max_depth: int = 5):
         return App(go(env, depth - 1), go(env, depth - 1))
 
     return go((), draw(st.integers(min_value=1, max_value=max_depth)))
+
+
+# Depth 10^5, far past the recursion limit.
+DEEP = 100_000
+
+
+def right_nested(n):
+    t = Var("z")
+    for _ in range(n):
+        t = App(Var("s"), t)
+    return t
+
+
+def left_spine(n):
+    t = Var("f")
+    for _ in range(n):
+        t = App(t, Var("x"))
+    return t
+
+
+def lambda_run(n):
+    t = Var("x")
+    for _ in range(n):
+        t = Lam("x", t)
+    return t

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from clsh.lam import eta_step
 from clsh.rewrite import (
     BUDGET_EXHAUSTED,
     DEFAULT_MAX_SIZE,
@@ -98,10 +97,8 @@ def beta_step(t: Term) -> Optional[tuple[Position, Term]]:
 
 
 def beta_normalize(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
-                   use_eta: bool = False,
                    max_size: int = DEFAULT_MAX_SIZE) -> Trace:
-    """Normal order normalization with a full trace; eta steps, when asked
-    for, run after the beta phase and share the step budget."""
+    """Normal order normalization with a full trace."""
     steps: list[TraceStep] = []
     cur = t
     while True:
@@ -117,14 +114,4 @@ def beta_normalize(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
         if term_size(cur) > max_size:
             status = BUDGET_EXHAUSTED
             break
-    if use_eta and status == NORMAL_FORM:
-        while True:
-            m = eta_step(cur)
-            if m is None:
-                break
-            if len(steps) >= max_steps:
-                status = BUDGET_EXHAUSTED
-                break
-            pos, cur = m
-            steps.append(TraceStep("eta", pos, "->", cur))
     return Trace(initial=t, steps=tuple(steps), status=status, final=cur)

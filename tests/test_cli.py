@@ -69,6 +69,16 @@ class TestParseCommand:
                        + ', {"var": "x"}]}' * n + "\n")
 
 
+    @pytest.mark.parametrize("cmd", ["parse", "reduce"])
+    def test_deep_nesting_is_a_syntax_error(self, capsys, cmd):
+        n = 10_000
+        code, out, err = run(capsys, cmd, "(" * n + "x" + ")" * n)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("clsh: term nested too deeply at line 1, column ")
+        assert "Traceback" not in err
+
+
 class TestCompileCommand:
     def test_known_disassembly(self, capsys):
         code, out, _ = run(capsys, "compile", r"\x y. x")

@@ -167,3 +167,21 @@ class TestExpandDerived:
     def test_single_atom(self):
         assert expand_derived(Atom("B")) == define_as_ski("B")
         assert expand_derived(Atom("I")) == Atom("I")
+
+    def test_b2_unfolds_to_basis(self):
+        b = define_as_ski("B")
+        assert expand_derived(Atom("B2")) == App(App(b, b), b)
+
+    def test_deep_right_nested(self):
+        # B (B (… (B x))), 10^5 deep; == stays shallow here, since each
+        # level is compared on its own
+        n = 100_000
+        t = Var("x")
+        for _ in range(n):
+            t = App(Atom("B"), t)
+        got = expand_derived(t)
+        b = define_as_ski("B")
+        for _ in range(n):
+            assert type(got) is App and got.fun == b
+            got = got.arg
+        assert got == Var("x")

@@ -1,11 +1,10 @@
 """Normal order beta reduction: the rescanning spec's steps and
-normalization, the eta phase, and the spine machine's agreement with the
-spec."""
+normalization, and the spine machine's agreement with the spec."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clsh.lam import beta_normalize_fast, eta_step
+from clsh.lam import beta_normalize_fast
 from clsh.rewrite import BUDGET_EXHAUSTED, NORMAL_FORM
 from clsh.syntax import parse
 from clsh.terms import Lam, Var, alpha_eq
@@ -45,20 +44,6 @@ class TestBetaStep:
         assert not alpha_eq(got, parse(r"\y. y"))
 
 
-class TestEtaStep:
-    def test_basic(self):
-        assert eta_step(parse(r"\x. f x"))[1] == Var("f")
-
-    def test_blocked_by_occurrence(self):
-        assert eta_step(parse(r"\x. x x")) is None
-        assert eta_step(parse(r"\x. f x x")) is None
-
-    def test_under_binder(self):
-        pos, res = eta_step(parse(r"\y. \x. y x"))
-        assert pos == ("body",)
-        assert res == parse(r"\y. y")
-
-
 class TestBetaNormalize:
     def test_two_argument_selector(self):
         tr = beta_normalize(parse(r"(\x. \y. x) a b"))
@@ -86,19 +71,6 @@ class TestBetaNormalize:
         assert tr.nsteps < 10_000       # the size cap fired, not the step cap
         assert term_size(tr.final) > 5_000
 
-    def test_eta_phase(self):
-        t = parse(r"\x. (\y. y) f x")
-        assert beta_normalize(t).final == parse(r"\x. f x")
-        tr = beta_normalize(t, use_eta=True)
-        assert tr.final == Var("f")
-        assert [s.rule for s in tr.steps] == ["beta", "eta"]
-
-    def test_eta_shares_the_budget(self):
-        t = parse(r"\x. (\y. y) f x")
-        tr = beta_normalize(t, max_steps=1, use_eta=True)
-        assert tr.status == BUDGET_EXHAUSTED
-        assert tr.final == parse(r"\x. f x")
-
     def test_normal_order_skips_divergent_argument(self):
         # K-style discard: the unused divergent argument is never evaluated
         t = parse(r"(\x. \y. x) a ((\x. x x) (\x. x x))")
@@ -109,12 +81,11 @@ class TestBetaNormalize:
 
 class TestMachineAgreesWithReference:
     @settings(max_examples=120, deadline=None)
-    @given(lam_terms, st.sampled_from((0, 1, 3, 200)), st.booleans())
-    def test_same_final_steps_status(self, t, max_steps, use_eta):
-        ref = beta_normalize(t, max_steps=max_steps, use_eta=use_eta,
-                             max_size=20_000)
+    @given(lam_terms, st.sampled_from((0, 1, 3, 200)))
+    def test_same_final_steps_status(self, t, max_steps):
+        ref = beta_normalize(t, max_steps=max_steps, max_size=20_000)
         fast, n, status = beta_normalize_fast(t, max_steps=max_steps,
-                                              use_eta=use_eta, max_size=20_000)
+                                              max_size=20_000)
         assert status == ref.status
         assert n == ref.nsteps
         assert fast == ref.final

@@ -183,6 +183,21 @@ class TestMatching:
         sigma = {"a": parse("K I"), "b": Var("u"), "c": Atom("S"), "w": parse("x y")}
         assert match(pat, instantiate(pat, sigma)) == sigma
 
+    def test_instantiate_deep(self):
+        # G (G (… (G x))) and its mirror, 10^5 deep, built without the parser
+        n = 100_000
+        right, left = Var("x"), Var("x")
+        for _ in range(n):
+            right, left = App(Atom("G"), right), App(left, Atom("G"))
+        sigma = {"x": Atom("a")}
+        assert (format_term(instantiate(right, sigma))
+                == "G (" * (n - 1) + "G a" + ")" * (n - 1))
+        assert format_term(instantiate(left, sigma)) == "a" + " G" * n
+
+    def test_instantiate_rejects_lambda(self):
+        with pytest.raises(IllFormedRuleError):
+            instantiate(parse(r"K (\y. a)"), {"a": Atom("I")})
+
     def test_match_at_respects_arity(self):
         assert FULL.match_at(parse("S a b")) is None
         m = FULL.match_at(parse("S a b c"))

@@ -17,7 +17,7 @@ from clsh.syntax import (
 )
 from clsh.terms import App, Atom, Lam, Var, alpha_eq
 
-from conftest import lam_terms
+from conftest import DEEP, lam_terms, lambda_run, left_spine, right_nested
 from spec_printer import reference_format_term
 
 PLAIN = SyntaxConfig(expand_sugar=False)
@@ -191,33 +191,9 @@ class TestJson:
             to_json(App(Atom("K"), "x"))
 
 
-# Depth 10^5, far past the recursion limit.  Expected strings are built
-# without clsh.  Terms are compared through their printed form, which
-# determines the tree for these names, since == on terms still recurses.
-DEEP = 100_000
-
-
-def right_nested(n):
-    t = Var("z")
-    for _ in range(n):
-        t = App(Var("s"), t)
-    return t
-
-
-def left_spine(n):
-    t = Var("f")
-    for _ in range(n):
-        t = App(t, Var("x"))
-    return t
-
-
-def lambda_run(n):
-    t = Var("x")
-    for _ in range(n):
-        t = Lam("x", t)
-    return t
-
-
+# Expected strings are built without clsh.  Terms are compared through their
+# printed form, which determines the tree for these names, since == on terms
+# still recurses.
 class TestDeepTerms:
     def test_right_nested(self):
         want = "s (" * (DEEP - 1) + "s z" + ")" * (DEEP - 1)

@@ -13,6 +13,7 @@ from clsh.terms import (
     Var,
     alpha_eq,
     app,
+    fold,
     free_vars,
     fresh_var,
     pos_from_str,
@@ -26,7 +27,8 @@ from clsh.terms import (
 )
 from clsh.terms import _subst_env
 
-from conftest import VAR_POOL, cl_terms, lam_terms
+from conftest import (DEEP, VAR_POOL, cl_terms, lam_terms, lambda_run,
+                      left_spine, right_nested)
 
 
 class TestBasics:
@@ -63,6 +65,62 @@ class TestBasics:
         assert t == App(App(App(h, args[0]), args[1]), args[2])
         assert spine(t) == (h, args)
         assert spine(h) == (h, [])
+
+
+def _size(t, cache=None):
+    return fold(t, lambda n: 1, lambda n, f, a: 1 + f + a,
+                lambda n, b: 1 + b, cache)
+
+
+class TestFold:
+    def test_leaves_left_to_right(self):
+        seen = []
+
+        def leaf(n):
+            seen.append(n.name)
+            return n.name
+
+        # f (g x) (\y. y (K z))
+        t = App(App(Var("f"), App(Var("g"), Var("x"))),
+                Lam("y", App(Var("y"), App(Atom("K"), Var("z")))))
+        got = fold(t, leaf, lambda n, f, a: f"({f} {a})",
+                   lambda n, b: f"(\\{n.binder}.{b})")
+        assert seen == ["f", "g", "x", "y", "K", "z"]
+        assert got == "((f (g x)) (\\y.(y (K z))))"
+
+    def test_not_a_term(self):
+        with pytest.raises(TypeError, match="not a term"):
+            _size(App(Var("f"), "x"))
+        with pytest.raises(TypeError, match="not a term"):
+            _size(Lam("x", None))
+
+    def test_cache_stores_and_skips(self):
+        inner = App(Var("g"), Var("x"))
+        t = App(Var("f"), inner)
+        assert _size(inner, "_probe") == 3
+        calls = []
+
+        def leaf(n):
+            calls.append(n.name)
+            return 1
+
+        # inner holds a result already, so its leaves are not visited
+        assert fold(t, leaf, lambda n, f, a: 1 + f + a, None, "_probe") == 5
+        assert calls == ["f"]
+        assert t._probe == 5 and t.fun._probe == 1
+        # a root that holds a result is returned as it is
+        assert fold(t, None, None, None, "_probe") == 5
+
+    @pytest.mark.parametrize("build, size", [
+        (left_spine, 2 * DEEP + 1),
+        (right_nested, 2 * DEEP + 1),
+        (lambda_run, DEEP + 1),
+    ])
+    def test_deep(self, build, size):
+        assert _size(build(DEEP)) == size
+        depth = fold(build(DEEP), lambda n: 0, lambda n, f, a: 1 + max(f, a),
+                     lambda n, b: 1 + b)
+        assert depth == DEEP
 
 
 class TestSubstitute:
