@@ -8,7 +8,8 @@ rewritten, a Lam node is simply a value.  Two strategies are provided:
       argument subtree), first match fires, rules tried in catalog order
   ri  rightmost-innermost: postorder scan, argument subtree first
 
-Each strategy runs on one zipper machine that never rescans from the root.
+Each strategy runs on a machine that never rescans from the root; both, and
+lam.py's beta machine, move on one frame zipper (see "the zipper machines").
 normalize() records every step the machine fires as a Trace; normalize_fast()
 runs the same machine without recording.  The rescanning reducer that
 defines both strategies lives in the test suite, which checks on random
@@ -382,10 +383,33 @@ class Trace:
 # ---------------------------------------------------------------------------
 # the zipper machines
 #
-# Each takes an optional recorder, called after every fire with (rule name,
+# lo, ri and lam.py's beta machine share one zipper (Huet, "The Zipper",
+# 1997): a focus, and frames (kind, sibling) from the root down to it.  FUN:
+# the focus is an App's function, the sibling its argument; ARG: the focus is
+# the argument, the sibling the function; BODY: the focus is a Lam's body, the
+# sibling its binder.  A kind is its position step, so _path(frames) is the
+# focus's position; _zip(frames, focus) rebuilds the whole term.  lo and ri
+# take an optional recorder, called after every fire with (rule name,
 # position, whole rewritten term); normalize() builds its Trace from it.
 
+FUN, ARG, BODY = "fun", "arg", "body"
 _Recorder = Callable[[str, Position, Term], None]
+
+
+def _zip(frames: list[tuple[str, object]], focus: Term) -> Term:
+    """The whole term: focus plugged into frames, innermost frame first."""
+    for kind, sib in reversed(frames):
+        if kind is FUN:
+            focus = App(focus, sib)
+        elif kind is ARG:
+            focus = App(sib, focus)
+        else:
+            focus = Lam(sib, focus)
+    return focus
+
+
+def _path(frames: list[tuple[str, object]]) -> Position:
+    return tuple([kind for kind, _ in frames])
 
 
 def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
@@ -400,18 +424,13 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
     having a redex is a property of the subtree alone.
     """
     seen: dict[int, Term] = {}
-    frames: list[tuple[int, Term]] = []  # (0, arg) descended into fun; (1, fun) into arg
+    frames: list[tuple[str, Term]] = []
     focus = t
     down = True
     nsteps = 0
     total = term_size(t)
     window = rules.window
     fire_at = rules.fire_at
-
-    def zip_all(f: Term) -> Term:
-        for kind, sib in reversed(frames):
-            f = App(f, sib) if kind == 0 else App(sib, f)
-        return f
 
     while True:
         if down:
@@ -421,7 +440,7 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
             m = fire_at(focus)
             if m is None:
                 if type(focus) is App:
-                    frames.append((0, focus.arg))
+                    frames.append((FUN, focus.arg))
                     focus = focus.fun
                 else:
                     seen[id(focus)] = focus
@@ -430,16 +449,14 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
             rule, contractum, delta = m
             while True:  # fire, then chase re-enabled ancestors
                 if nsteps >= max_steps:
-                    return zip_all(focus), nsteps, BUDGET_EXHAUSTED
+                    return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
                 nsteps += 1
                 total += delta
                 focus = contractum
                 if record is not None:
-                    record(rule.name, tuple("fun" if kind == 0 else "arg"
-                                            for kind, _ in frames),
-                           zip_all(focus))
+                    record(rule.name, _path(frames), _zip(frames, focus))
                 if total > max_size:
-                    return zip_all(focus), nsteps, BUDGET_EXHAUSTED
+                    return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
                 k = min(window, len(frames))
                 if k == 0:
                     break
@@ -448,7 +465,7 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
                 anc: list[Term] = []  # anc[i] rebuilt from the innermost i+1 frames
                 cur = focus
                 for kind, sib in reversed(popped):
-                    cur = App(cur, sib) if kind == 0 else App(sib, cur)
+                    cur = App(cur, sib) if kind is FUN else App(sib, cur)
                     anc.append(cur)
                 hit = None
                 for j in range(k - 1, -1, -1):  # outermost candidate first
@@ -467,8 +484,8 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
             if not frames:
                 return focus, nsteps, NORMAL_FORM
             kind, sib = frames.pop()
-            if kind == 0:
-                frames.append((1, focus))
+            if kind is FUN:
+                frames.append((ARG, focus))
                 focus = sib
                 down = True
             else:
@@ -477,94 +494,55 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
                 focus = node
 
 
-_MK = ("mk",)
-
-
 def _machine_ri(t: Term, rules: RuleSet, max_steps: int, max_size: int,
                 record: Optional[_Recorder] = None) -> tuple[Term, int, str]:
-    """Rightmost-innermost: evaluate the argument, then the function, then
-    fire at the node.  Finished subtrees are remembered by identity, so the
+    """Rightmost-innermost: evaluate the argument (under an ARG frame), then
+    the function (under a FUN frame holding the argument's value), then fire
+    at the node.  Finished subtrees are remembered by identity, so the
     already-normal pieces a contractum reuses are not rescanned."""
     seen: dict[int, Term] = {}
-    ws: list = [("eval", t)]
-    vs: list[Term] = []
+    frames: list[tuple[str, Term]] = []
+    focus = t
+    down = True
     nsteps = 0
     total = term_size(t)
     fire_at = rules.fire_at
 
-    def rebuild(hole: Term) -> Term:
-        """The whole term with hole at the focus; the stacks are left as
-        they are."""
-        vals = vs + [hole]
-        for op in reversed(ws):
-            if op is _MK:
-                f = vals.pop()
-                a = vals.pop()
-                vals.append(App(f, a))
-            else:
-                vals.append(op[1])
-        assert len(vals) == 1
-        return vals[0]
-
-    def position() -> Position:
-        """Each pending _MK is an ancestor; the focus is in its argument
-        while the function's eval still waits just above it."""
-        return tuple("arg" if i + 1 < len(ws) and ws[i + 1] is not _MK else "fun"
-                     for i, op in enumerate(ws) if op is _MK)
-
-    def fire(m) -> Optional[Term]:
-        """Returns the contractum, or None when stopping; the caller returns
-        the rebuilt whole term."""
-        nonlocal nsteps, total
-        rule, c, delta = m
+    while True:
+        if down:
+            if id(focus) in seen or type(focus) is Lam:
+                down = False
+                continue
+            if type(focus) is App:
+                frames.append((ARG, focus.fun))
+                focus = focus.arg
+                continue
+        else:
+            if not frames:
+                return focus, nsteps, NORMAL_FORM
+            kind, sib = frames.pop()
+            if kind is ARG:
+                frames.append((FUN, focus))
+                focus = sib
+                down = True
+                continue
+            focus = App(focus, sib)
+        # an unseen leaf going down, or an App whose children are finished
+        m = fire_at(focus)
+        if m is None:
+            seen[id(focus)] = focus
+            down = False
+            continue
         if nsteps >= max_steps:
-            return None
+            return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
+        rule, focus, delta = m
         nsteps += 1
         total += delta
         if record is not None:
-            record(rule.name, position(), rebuild(c))
-        return c
-
-    while ws:
-        op = ws.pop()
-        if op is _MK:
-            f = vs.pop()
-            a = vs.pop()
-            node = App(f, a)
-            m = fire_at(node)
-            if m is None:
-                seen[id(node)] = node
-                vs.append(node)
-                continue
-            c = fire(m)
-            if c is None:
-                return rebuild(node), nsteps, BUDGET_EXHAUSTED
-            if total > max_size:
-                return rebuild(c), nsteps, BUDGET_EXHAUSTED
-            ws.append(("eval", c))
-        else:
-            node = op[1]
-            if id(node) in seen or type(node) is Lam:
-                seen[id(node)] = node
-                vs.append(node)
-            elif type(node) is App:
-                ws.append(_MK)
-                ws.append(("eval", node.fun))
-                ws.append(("eval", node.arg))
-            else:
-                m = fire_at(node)
-                if m is None:
-                    seen[id(node)] = node
-                    vs.append(node)
-                    continue
-                c = fire(m)
-                if c is None:
-                    return rebuild(node), nsteps, BUDGET_EXHAUSTED
-                if total > max_size:
-                    return rebuild(c), nsteps, BUDGET_EXHAUSTED
-                ws.append(("eval", c))
-    assert len(vs) == 1
-    return vs[0], nsteps, NORMAL_FORM
+            record(rule.name, _path(frames), _zip(frames, focus))
+        if total > max_size:
+            return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
+        down = True
 
 
 def _machine(strategy: str):

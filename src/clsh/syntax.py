@@ -25,7 +25,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 
-from .terms import ATOM_CATALOG, App, Atom, Lam, Term, Var, fold
+from .terms import ATOM_CATALOG, App, Atom, Lam, Term, Var, _render, fold
 
 _GREEK = {"λ": "\\", "ε": "eps", "Φ": "Phi", "Ψ": "Psi", "ρ": "rho"}
 
@@ -320,23 +320,6 @@ _SEXPR = ({Atom: "(atom {})", Var: "(var {})"}, "(app ", " ", ")",
           "(lam {} ", ")")
 _JSON = ({Atom: '{{"atom": {}}}', Var: '{{"var": {}}}'}, '{"app": [', ", ",
          "]}", '{{"lam": [{}, ', "]}")
-
-
-def _render(t: Term, forms: tuple, name=str) -> str:
-    leaf, app_open, sep, app_close, lam_open, lam_close = forms
-    out: list[str] = []
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        if type(node) is str:
-            out.append(node)
-        elif type(node) is App:
-            stack += (app_close, node.arg, sep, node.fun, app_open)
-        elif type(node) is Lam:
-            stack += (lam_close, node.body, lam_open.format(name(node.binder)))
-        else:
-            out.append(leaf[type(node)].format(name(node.name)))
-    return "".join(out)
 
 
 def sexpr(t: Term) -> str:

@@ -23,23 +23,23 @@ ATOM_CATALOG = frozenset({
 })
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class App:
     fun: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Lam:
     binder: str
     body: "Term"
@@ -109,6 +109,49 @@ def fold(t: Term, leaf: Callable, app: Callable, lam: Callable,
             object.__setattr__(n, cache, r)
         out.append(r)
     return out[0]
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+_APP_SEP = object()  # a work-stack marker: between an App's children
+
+# _render's spelling of a leaf, an App (open, sep, close) and a Lam.
+_REPR = ({Atom: "Atom(name={})", Var: "Var(name={})"}, "App(fun=", ", arg=",
+         ")", "Lam(binder={}, body=", ")")
+
+
+def _render(t: Term, forms: tuple, name=str) -> str:
+    """t spelled in forms, name spelling each name, on an explicit stack so
+    any depth works; a node that is not a term is spelled by repr()."""
+    leaf, app_open, sep, app_close, lam_open, lam_close = forms
+    marks = {_APP_SEP: sep, _APP_DONE: app_close, _LAM_DONE: lam_close}
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        ty = type(node)
+        if ty is App:
+            out.append(app_open)
+            stack += (_APP_DONE, node.arg, _APP_SEP, node.fun)
+        elif ty is Lam:
+            out.append(lam_open.format(name(node.binder)))
+            stack += (_LAM_DONE, node.body)
+        elif ty is Atom or ty is Var:
+            out.append(leaf[ty].format(name(node.name)))
+        elif ty is object:
+            out.append(marks[node])
+        else:
+            out.append(repr(node))
+    return "".join(out)
+
+
+def _repr(t: Term) -> str:
+    """The generated dataclass repr, without its recursion."""
+    return _render(t, _REPR, repr)
+
+
+Atom.__repr__ = Var.__repr__ = App.__repr__ = Lam.__repr__ = _repr
 
 
 # ---------------------------------------------------------------------------

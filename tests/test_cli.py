@@ -89,17 +89,20 @@ class TestCompileCommand:
         assert run(capsys, "compile", r"\x. f x")[1].strip() == "S (K f) I"
         assert run(capsys, "compile", "--eta", r"\x. f x")[1].strip() == "f"
 
-    @pytest.mark.parametrize("cmd, n", [("compile", 10_000),
-                                        ("compile", 100_000),
-                                        ("reduce", 10_000)])
+    @pytest.mark.parametrize("cmd, n", [
+        ("compile", 10_000),
+        ("compile", 100_000),
+        ("reduce", 10_000),
+        pytest.param("reduce --strategy ri", 10_000, id="reduce-ri-10000"),
+    ])
     def test_deep_spine(self, capsys, cmd, n):
         # f applied to n arguments, bare and under a binder that none of
         # them mentions; both results are already in normal form (reduce
         # stays at 10^4 to keep the suite fast: it adds the machine's walk)
         src = "f" + " x" * n
-        assert run(capsys, cmd, src) == (EXIT_OK, src + "\n", "")
+        assert run(capsys, *cmd.split(), src) == (EXIT_OK, src + "\n", "")
         want = "S (" * n + "K f" + ") (K x)" * n + "\n"
-        assert run(capsys, cmd, "\\y. " + src) == (EXIT_OK, want, "")
+        assert run(capsys, *cmd.split(), "\\y. " + src) == (EXIT_OK, want, "")
 
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_eta_deep_spine(self, capsys, n):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from clsh.lam import beta_normalize_fast
 from clsh.rewrite import BUDGET_EXHAUSTED, NORMAL_FORM
-from clsh.syntax import parse
-from clsh.terms import Lam, Var, alpha_eq
+from clsh.syntax import format_term, parse
+from clsh.terms import App, Lam, Var, alpha_eq
 
 from conftest import closed_lambdas, lam_terms
 from spec_engines import beta_normalize, beta_step
@@ -81,11 +81,12 @@ class TestBetaNormalize:
 
 class TestMachineAgreesWithReference:
     @settings(max_examples=120, deadline=None)
-    @given(lam_terms, st.sampled_from((0, 1, 3, 200)))
-    def test_same_final_steps_status(self, t, max_steps):
-        ref = beta_normalize(t, max_steps=max_steps, max_size=20_000)
+    @given(lam_terms, st.sampled_from((0, 1, 3, 200)),
+           st.sampled_from((64, 20_000)))
+    def test_same_final_steps_status(self, t, max_steps, max_size):
+        ref = beta_normalize(t, max_steps=max_steps, max_size=max_size)
         fast, n, status = beta_normalize_fast(t, max_steps=max_steps,
-                                              max_size=20_000)
+                                              max_size=max_size)
         assert status == ref.status
         assert n == ref.nsteps
         assert fast == ref.final
@@ -99,3 +100,40 @@ class TestMachineAgreesWithReference:
         if status == NORMAL_FORM:
             # a closed beta normal form is always an abstraction
             assert isinstance(fast, Lam)
+
+
+class TestDeepTerms:
+    """The machine keeps its place on a stack of frames, so 10^4 nested
+    redexes, bare or under as many binders, reduce without recursion; a
+    budget stop rebuilds the whole term around the focus."""
+
+    N = 10_000
+    ID = Lam("y", Var("y"))
+
+    def _nested(self, wrap):
+        t = Var("z")
+        for _ in range(self.N):
+            t = wrap(t)
+        return t
+
+    def test_nested_redexes(self):
+        t = self._nested(lambda t: App(self.ID, t))
+        assert beta_normalize_fast(t, max_steps=self.N) == (
+            Var("z"), self.N, NORMAL_FORM)
+        final, n, status = beta_normalize_fast(t, max_steps=3)
+        assert (n, status) == (3, BUDGET_EXHAUSTED)
+        m = self.N - 3  # redexes left
+        assert format_term(final) == (
+            "(\\y.y) (" * (m - 1) + "(\\y.y) z" + ")" * (m - 1))
+
+    def test_redexes_under_binders(self):
+        t = self._nested(lambda t: Lam("w", App(self.ID, t)))
+        final, n, status = beta_normalize_fast(t, max_steps=self.N)
+        assert (n, status) == (self.N, NORMAL_FORM)
+        assert format_term(final) == "\\" + " ".join(["w"] * self.N) + ".z"
+        final, n, status = beta_normalize_fast(t, max_steps=3)
+        assert (n, status) == (3, BUDGET_EXHAUSTED)
+        m = self.N - 3
+        assert format_term(final) == (
+            "\\w w w w.(\\y.y) " + "(\\w.(\\y.y) " * (m - 1) + "z"
+            + ")" * (m - 1))

@@ -428,6 +428,25 @@ class TestTraces:
         assert tr.steps[-1].result == tr.final
 
 
+class TestDeepTerms:
+    N = 10_000
+
+    @pytest.mark.parametrize("strategy", ["lo", "ri"])
+    def test_nested_identities(self, strategy):
+        # I (I (… (I x))): lo fires at the root each time, ri at the bottom
+        t = Var("x")
+        for _ in range(self.N):
+            t = App(Atom("I"), t)
+        assert normalize_fast(t, CL_BASE, max_steps=self.N,
+                              strategy=strategy) == (Var("x"), self.N,
+                                                     NORMAL_FORM)
+        final, n, status = normalize_fast(t, CL_BASE, max_steps=5,
+                                          strategy=strategy)
+        assert (n, status) == (5, BUDGET_EXHAUSTED)
+        m = self.N - 5  # I's left
+        assert format_term(final) == "I (" * (m - 1) + "I x" + ")" * (m - 1)
+
+
 class TestAncestorReenabling:
     def test_projection_after_inner_step(self):
         # the root becomes a redex only after the inner I unwraps the pair

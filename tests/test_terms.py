@@ -123,6 +123,29 @@ class TestFold:
         assert depth == DEEP
 
 
+class TestRepr:
+    def test_forms(self):
+        assert repr(Atom("K")) == "Atom(name='K')"
+        assert repr(App(Var("f"), Lam("x", Var("x")))) == (
+            "App(fun=Var(name='f'), arg=Lam(binder='x', body=Var(name='x')))")
+        # names are spelled by repr(), quotes included
+        assert repr(Lam("it's", Atom('a"b'))) == (
+            "Lam(binder=\"it's\", body=Atom(name='a\"b'))")
+
+    def test_not_a_term(self):
+        assert repr(App(Var("f"), "x")) == "App(fun=Var(name='f'), arg='x')"
+        assert repr(Lam("x", None)) == "Lam(binder='x', body=None)"
+
+    @pytest.mark.parametrize("build, head, leaf, tail", [
+        (left_spine, "App(fun=", "f", ", arg=Var(name='x'))"),
+        (right_nested, "App(fun=Var(name='s'), arg=", "z", ")"),
+        (lambda_run, "Lam(binder='x', body=", "x", ")"),
+    ], ids=["left_spine", "right_nested", "lambda_run"])
+    def test_deep(self, build, head, leaf, tail):
+        assert repr(build(DEEP)) == (
+            head * DEEP + f"Var(name='{leaf}')" + tail * DEEP)
+
+
 class TestSubstitute:
     def test_plain(self):
         t = App(Var("x"), Var("y"))
