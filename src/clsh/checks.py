@@ -2,7 +2,8 @@
 
 A catalog file holds named checks in three modes:
 
-  extensional N   apply both sides to N fresh variables, normalize, compare
+  extensional N   apply both sides to N fresh variables (N at most
+                  DEFAULT_MAX_SIZE), normalize, compare
   instance        substitute the `let` bindings into both sides, normalize,
                   compare
   chain           replay an explicit derivation: each step names a rule, a
@@ -50,6 +51,7 @@ from typing import Optional
 from .disassemble import expand_derived
 from .rewrite import (
     BUDGET_EXHAUSTED,
+    DEFAULT_MAX_SIZE,
     DEFAULT_MAX_STEPS,
     FULL,
     CL_BASE,
@@ -195,6 +197,9 @@ def load_catalog(text: str) -> list[EquationCheck]:
                 case "mode":
                     kind, _, ar = rest.partition(" ")
                     if kind == "extensional":
+                        if not ar.strip().isdecimal() or int(ar) > DEFAULT_MAX_SIZE:
+                            raise ValueError(f"bad arity {ar!r}: want 0 to "
+                                             f"{DEFAULT_MAX_SIZE}")
                         cur["mode"] = kind
                         cur["arity"] = int(ar)
                     elif kind in ("instance", "chain") and not ar:

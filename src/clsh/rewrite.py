@@ -389,8 +389,9 @@ class Trace:
 # the argument, the sibling the function; BODY: the focus is a Lam's body, the
 # sibling its binder.  A kind is its position step, so _path(frames) is the
 # focus's position; _zip(frames, focus) rebuilds the whole term.  lo and ri
-# take an optional recorder, called after every fire with (rule name,
-# position, whole rewritten term); normalize() builds its Trace from it.
+# end in one fire block (budget stop, count, record, size stop) and then scan
+# down again: ri from the contractum, lo from rules.window frames up.  The
+# optional recorder gets (rule name, position, whole rewritten term).
 
 FUN, ARG, BODY = "fun", "arg", "body"
 _Recorder = Callable[[str, Position, Term], None]
@@ -417,10 +418,10 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
     """Leftmost-outermost without rescans.
 
     A fire can only enable new redexes inside the contractum or at ancestors
-    whose pattern window reaches the changed node, so after each step the
-    machine rechecks at most rules.window enclosing nodes (outermost first)
-    and otherwise resumes at the contractum.  Subtrees known to be redex-free
-    are remembered by identity and never rescanned; that is sound because
+    whose pattern window reaches the changed node, so after each fire the
+    machine zips up rules.window frames and scans down again from there.
+    Redex-free subtrees, such as the finished function an ARG frame holds,
+    are kept by identity in seen and never rescanned; that is sound because
     having a redex is a property of the subtree alone.
     """
     seen: dict[int, Term] = {}
@@ -446,40 +447,6 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
                     seen[id(focus)] = focus
                     down = False
                 continue
-            rule, contractum, delta = m
-            while True:  # fire, then chase re-enabled ancestors
-                if nsteps >= max_steps:
-                    return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
-                nsteps += 1
-                total += delta
-                focus = contractum
-                if record is not None:
-                    record(rule.name, _path(frames), _zip(frames, focus))
-                if total > max_size:
-                    return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
-                k = min(window, len(frames))
-                if k == 0:
-                    break
-                popped = frames[-k:]
-                del frames[-k:]
-                anc: list[Term] = []  # anc[i] rebuilt from the innermost i+1 frames
-                cur = focus
-                for kind, sib in reversed(popped):
-                    cur = App(cur, sib) if kind is FUN else App(sib, cur)
-                    anc.append(cur)
-                hit = None
-                for j in range(k - 1, -1, -1):  # outermost candidate first
-                    mm = fire_at(anc[j])
-                    if mm is not None:
-                        hit = j, mm
-                        break
-                if hit is None:
-                    frames.extend(popped)
-                    break
-                j, (rule, contractum, delta) = hit
-                frames.extend(popped[:k - 1 - j])
-                focus = anc[j]
-            # no enclosing redex: scan the contractum
         else:
             if not frames:
                 return focus, nsteps, NORMAL_FORM
@@ -489,9 +456,21 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
                 focus = sib
                 down = True
             else:
-                node = App(sib, focus)
-                seen[id(node)] = node
-                focus = node
+                focus = App(sib, focus)
+                seen[id(focus)] = focus
+            continue
+        if nsteps >= max_steps:
+            return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
+        rule, focus, delta = m
+        nsteps += 1
+        total += delta
+        if record is not None:
+            record(rule.name, _path(frames), _zip(frames, focus))
+        if total > max_size:
+            return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
+        for _ in range(min(window, len(frames))):
+            kind, sib = frames.pop()
+            focus = App(focus, sib) if kind is FUN else App(sib, focus)
 
 
 def _machine_ri(t: Term, rules: RuleSet, max_steps: int, max_size: int,

@@ -66,7 +66,7 @@ _PUNCT = {
 }
 
 
-def _tokenize(text: str, cfg: SyntaxConfig) -> list[_Tok]:
+def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     line, col = 1, 1
     i = 0
@@ -222,7 +222,7 @@ class _Parser:
 
 
 def parse(text: str, cfg: SyntaxConfig = DEFAULT_SYNTAX) -> Term:
-    p = _Parser(_tokenize(text, cfg), cfg)
+    p = _Parser(_tokenize(text), cfg)
     try:
         t = p.parse_expr()
     except RecursionError:

@@ -302,37 +302,29 @@ def _subst_env(t: Term, env: dict[str, Term]) -> Term:
 # ---------------------------------------------------------------------------
 # positions
 
-def subterm_at(t: Term, pos: Position) -> Term:
-    cur = t
+def _walk(t: Term, pos: Position) -> list[Term]:
+    """The nodes on the path pos, from t down to the subterm at pos."""
+    path = [t]
     for i, step in enumerate(pos):
-        match cur, step:
+        match path[-1], step:
             case App(f, _), "fun":
-                cur = f
+                path.append(f)
             case App(_, a), "arg":
-                cur = a
+                path.append(a)
             case Lam(_, body), "body":
-                cur = body
+                path.append(body)
             case _:
                 raise InvalidPositionError(f"no {step!r} child at {pos[:i]} in term")
-    return cur
+    return path
+
+
+def subterm_at(t: Term, pos: Position) -> Term:
+    return _walk(t, pos)[-1]
 
 
 def replace_at(t: Term, pos: Position, s: Term) -> Term:
-    path: list[tuple[Term, str]] = []
-    cur = t
-    for i, step in enumerate(pos):
-        path.append((cur, step))
-        match cur, step:
-            case App(f, _), "fun":
-                cur = f
-            case App(_, a), "arg":
-                cur = a
-            case Lam(_, body), "body":
-                cur = body
-            case _:
-                raise InvalidPositionError(f"no {step!r} child at {pos[:i]} in term")
     new = s
-    for node, step in reversed(path):
+    for node, step in reversed(list(zip(_walk(t, pos), pos))):
         match step:
             case "fun":
                 new = App(new, node.arg)

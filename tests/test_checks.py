@@ -14,7 +14,7 @@ from clsh.checks import (
     run_checks,
     run_core_suite,
 )
-from clsh.rewrite import CL_BASE, FULL
+from clsh.rewrite import CL_BASE, DEFAULT_MAX_SIZE, FULL
 from clsh.syntax import parse
 
 import spec_engines
@@ -85,6 +85,12 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError) as e:
             load_catalog(bad)
         assert msg in str(e.value)
+
+    def test_extensional_arity_is_bounded_by_the_size_guard(self):
+        src = "check a\nmode extensional {}\nlhs K\nrhs K\n"
+        assert load_catalog(src.format(DEFAULT_MAX_SIZE))[0].arity == DEFAULT_MAX_SIZE
+        with pytest.raises(CatalogError, match="line 2: bad arity"):
+            load_catalog(src.format(DEFAULT_MAX_SIZE + 1))
 
     def test_parse_error_carries_line(self):
         with pytest.raises(CatalogError) as e:

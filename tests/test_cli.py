@@ -284,3 +284,13 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "--catalog", str(f))
         assert code == EXIT_USAGE
         assert err.startswith("clsh:")
+
+    # -1 is no count; 99999999999 fresh variables would exhaust memory
+    @pytest.mark.parametrize("arity", ["-1", "99999999999"])
+    def test_bad_extensional_arity(self, capsys, tmp_path, arity):
+        f = tmp_path / "arity.eqs"
+        f.write_text(f"check a\nmode extensional {arity}\nlhs K\nrhs I\n")
+        code, out, err = run(capsys, "check", "--catalog", str(f))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("clsh: line 2: bad arity")

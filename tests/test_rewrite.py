@@ -504,6 +504,35 @@ class TestMachineAgreesWithReference:
             ("arg",), ("fun", "arg", "arg"), ("fun", "arg"), ()]
 
 
+class TestPatternWindow:
+    """A fire can make a redex exactly rules.window frames up; lo must zip
+    up that far before it scans down again, and both machines must still
+    fire the spec's steps."""
+
+    P_BASE = CL_BASE.extend(parse_rule("p: p (D x y) => x"))
+
+    @pytest.mark.parametrize("src, rules, window", [
+        pytest.param("I Phi a b c d", FULL, 4, id="Phi"),
+        pytest.param("I S a b c", CL_BASE, 3, id="S"),
+        pytest.param("K (I Phi a b c d) x", FULL, 4, id="K-Phi"),
+        pytest.param("p (I (D a b))", FULL, 4, id="p-arg"),
+        # I D fires under ARG, FUN, FUN; the p redex is those 3 frames up
+        pytest.param("p (I D a b)", P_BASE, 3, id="p-arg-window"),
+    ])
+    @pytest.mark.parametrize("strategy", ["lo", "ri"])
+    def test_redex_window_frames_up(self, src, rules, window, strategy):
+        assert rules.window == window
+        t = parse(src)
+        ref = spec_normalize(t, rules, strategy=strategy)
+        tr = normalize(t, rules, strategy=strategy)
+        assert _steps(tr) == _steps(ref)
+        assert (tr.status, tr.final) == (ref.status, ref.final)
+        # the last step is the root redex the deeper fire made
+        assert (ref.status, ref.steps[-1].pos) == (NORMAL_FORM, ())
+        assert normalize_fast(t, rules, strategy=strategy) == (
+            ref.final, ref.nsteps, ref.status)
+
+
 class TestStrategiesConverge:
     @settings(max_examples=100, deadline=None)
     @given(cl_terms)
