@@ -180,10 +180,11 @@ def load_catalog(text: str) -> list[EquationCheck]:
             continue
         word, _, rest = line.partition(" ")
         rest = rest.strip()
+        if word == "check":
+            flush(lineno)  # its errors name their line already
         try:
             match word:
                 case "check":
-                    flush(lineno)
                     if not rest.replace("-", "_").isidentifier():
                         raise CatalogError(f"bad check name {rest!r}")
                     cur = {"name": rest, "title": "", "mode": None, "arity": 0,
@@ -207,7 +208,7 @@ def load_catalog(text: str) -> list[EquationCheck]:
                     else:
                         raise CatalogError(f"bad mode {rest!r}")
                 case "hyp":
-                    cur["hyps"].append(parse_rule(rest, lineno))
+                    cur["hyps"].append(parse_rule(rest))
                 case "let":
                     m = _LET_RE.fullmatch(rest)
                     if not m:
@@ -234,8 +235,6 @@ def load_catalog(text: str) -> list[EquationCheck]:
                         parse(m.group(4))))
                 case _:
                     raise CatalogError(f"unknown directive {word!r}")
-        except CatalogError:
-            raise
         except ValueError as e:
             raise CatalogError(f"line {lineno}: {e}") from e
     flush("end")

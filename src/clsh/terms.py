@@ -4,11 +4,19 @@ Four node kinds: Atom (a named combinator or other opaque constant), Var,
 App, Lam.  Atoms and variables live in separate namespaces; an Atom never
 binds and is never substituted for.  Terms are immutable and compare
 structurally; use alpha_eq for comparison up to bound-variable renaming.
+
+The nodes are slotted classes under one base, _Node, which also reserves
+the two cache slots that term_size and free_vars fill (_size and _fv).
+Assigning or deleting an attribute raises AttributeError.  == and hash
+walk the terms on an explicit stack, so they work at any depth.  The
+machines build a node for every contraction and every rebuilt ancestor,
+so __init__ stores the fields through the slot descriptors, bound once at
+import: that costs about 60% of the object.__setattr__ per field of a
+frozen dataclass.  __init__ validates nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 # The built-in atom inventory.  I/K/S are the basis; the rest are the derived
@@ -23,26 +31,103 @@ ATOM_CATALOG = frozenset({
 })
 
 
-@dataclass(frozen=True, repr=False)
-class Atom:
-    name: str
+class _Node:
+    """The base of the four node kinds: immutable, compared and hashed
+    structurally on an explicit stack."""
+
+    __slots__ = ("_size", "_fv")  # the caches of term_size and free_vars
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        stack = [self, other]
+        while stack:
+            b = stack.pop()
+            a = stack.pop()
+            if a is b:
+                continue
+            ty = type(a)
+            if ty is not type(b):
+                return False
+            if ty is App:
+                stack += (a.fun, b.fun, a.arg, b.arg)
+            elif ty is Lam:
+                if a.binder != b.binder:
+                    return False
+                stack += (a.body, b.body)
+            elif ty is Atom or ty is Var:
+                if a.name != b.name:
+                    return False
+            elif not a == b:  # a malformed node's child that is not a term
+                return False
+        return True
+
+    def __hash__(self):
+        # the hash of the preorder spelling, which equal terms share; kinds
+        # are tagged 0-3, not by class, whose hash changes between processes
+        out: list = []
+        stack = [self]
+        while stack:
+            n = stack.pop()
+            ty = type(n)
+            if ty is App:
+                out.append(2)
+                stack += (n.arg, n.fun)
+            elif ty is Lam:
+                out += (3, n.binder)
+                stack.append(n.body)
+            elif ty is Atom:
+                out += (0, n.name)
+            elif ty is Var:
+                out += (1, n.name)
+            else:
+                out.append(n)
+        return hash(tuple(out))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f)
+                                  for f in self.__match_args__])
 
 
-@dataclass(frozen=True, repr=False)
-class Var:
-    name: str
+class Atom(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_atom_name(self, name)
 
 
-@dataclass(frozen=True, repr=False)
-class App:
-    fun: "Term"
-    arg: "Term"
+class Var(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_var_name(self, name)
 
 
-@dataclass(frozen=True, repr=False)
-class Lam:
-    binder: str
-    body: "Term"
+class App(_Node):
+    __slots__ = __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term):
+        _set_fun(self, fun)
+        _set_arg(self, arg)
+
+
+class Lam(_Node):
+    __slots__ = __match_args__ = ("binder", "body")
+
+    def __init__(self, binder: str, body: Term):
+        _set_binder(self, binder)
+        _set_body(self, body)
+
+
+_set_atom_name, _set_var_name = Atom.name.__set__, Var.name.__set__
+_set_fun, _set_arg = App.fun.__set__, App.arg.__set__
+_set_binder, _set_body = Lam.binder.__set__, Lam.body.__set__
 
 
 Term = Union[Atom, Var, App, Lam]
@@ -70,9 +155,10 @@ def fold(t: Term, leaf: Callable, app: Callable, lam: Callable,
 
     leaf(n) is called at each Atom or Var, left to right; app(n, f, a) and
     lam(n, b) get the node and the results for its children.  Any other
-    node raises TypeError.  Given cache, each node's result is stored in
-    that attribute, and a subtree whose root already holds one is not
-    walked again; results must then never be None.
+    node raises TypeError.  Given cache, the name of one of the slots
+    _Node reserves, each node's result is stored there, and a subtree
+    whose root already holds one is not walked again; results must then
+    never be None.
     """
     if cache is not None:
         r = getattr(t, cache, None)
@@ -147,11 +233,11 @@ def _render(t: Term, forms: tuple, name=str) -> str:
 
 
 def _repr(t: Term) -> str:
-    """The generated dataclass repr, without its recursion."""
+    """The repr a dataclass would generate, without its recursion."""
     return _render(t, _REPR, repr)
 
 
-Atom.__repr__ = Var.__repr__ = App.__repr__ = Lam.__repr__ = _repr
+_Node.__repr__ = _repr
 
 
 # ---------------------------------------------------------------------------
@@ -161,32 +247,38 @@ def term_size(t: Term) -> int:
     """Number of nodes.  Cached on the node, since the rewrite machines ask
     for sizes of shared subterms constantly."""
     # not a fold: this is the machines' hot path, and a fold's callbacks
-    # cost about a third more per fresh node
+    # cost about a third more per fresh node.  Leaves are never probed:
+    # reading an unset slot raises inside getattr, which costs about four
+    # times a hit, so a leaf's size is stored (or returned) unasked.
+    ty = type(t)
+    if ty is not App and ty is not Lam:
+        return 1
     cached = getattr(t, "_size", None)
     if cached is not None:
         return cached
     # iterative to survive very deep terms
-    stack = [t]
-    order = []
+    order = [t]
+    stack = [t.fun, t.arg] if ty is App else [t.body]
     while stack:
         n = stack.pop()
-        if getattr(n, "_size", None) is not None:
-            continue
-        order.append(n)
-        if type(n) is App:
-            stack.append(n.fun)
-            stack.append(n.arg)
-        elif type(n) is Lam:
-            stack.append(n.body)
+        ty = type(n)
+        if ty is App:
+            if getattr(n, "_size", None) is None:
+                order.append(n)
+                stack += (n.fun, n.arg)
+        elif ty is Lam:
+            if getattr(n, "_size", None) is None:
+                order.append(n)
+                stack.append(n.body)
+        else:
+            object.__setattr__(n, "_size", 1)
     for n in reversed(order):
         if type(n) is App:  # children come first in this order
             s = 1 + n.fun._size + n.arg._size
-        elif type(n) is Lam:
-            s = 1 + n.body._size
         else:
-            s = 1
+            s = 1 + n.body._size
         object.__setattr__(n, "_size", s)
-    return getattr(t, "_size")
+    return t._size
 
 
 def free_vars(t: Term) -> frozenset[str]:

@@ -285,6 +285,34 @@ class TestCheckCommand:
         assert code == EXIT_USAGE
         assert err.startswith("clsh:")
 
+    @pytest.mark.parametrize("text, lineno, msg", [
+        ("check a b\n", 1, "bad check name"),
+        ("lhs K\n", 1, "'lhs' outside a check block"),
+        ("check a\nmode bogus\n", 2, "bad mode"),
+        ("check a\nmode instance\nlet x\n", 3, "expected 'let var = TERM'"),
+        ("check a\nmode chain\nstep S\n", 3, "expected 'step RULE @ POS"),
+        ("check a\nmode instance\n\nexpect maybe\n", 4, "bad expect"),
+        ("check a\nmode instance\nexpanded odd\n", 3, "bad expanded"),
+        ("check a\n# note\nfrobnicate\n", 3, "unknown directive"),
+        ("check a\nmode instance\nhyp r K x\n", 3, "expected 'name: LHS"),
+    ])
+    def test_catalog_errors_name_their_line(self, capsys, tmp_path, text,
+                                            lineno, msg):
+        f = tmp_path / "bad.eqs"
+        f.write_text(text)
+        code, out, err = run(capsys, "check", "--catalog", str(f))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"clsh: line {lineno}: {msg}")
+        assert err.count("line") == 1
+
+    def test_unfinished_check_names_one_line(self, capsys, tmp_path):
+        f = tmp_path / "bad.eqs"
+        f.write_text("check a\nlhs K\ncheck b\n")
+        code, _, err = run(capsys, "check", "--catalog", str(f))
+        assert code == EXIT_USAGE
+        assert err == "clsh: check a: no mode (line 3)\n"
+
     # -1 is no count; 99999999999 fresh variables would exhaust memory
     @pytest.mark.parametrize("arity", ["-1", "99999999999"])
     def test_bad_extensional_arity(self, capsys, tmp_path, arity):

@@ -1,5 +1,8 @@
-"""Term structure: size, free variables, substitution, alpha equivalence,
-positions."""
+"""Term structure: the node classes, size, free variables, substitution,
+alpha equivalence, positions."""
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given
@@ -29,6 +32,45 @@ from clsh.terms import _subst_env
 
 from conftest import (DEEP, VAR_POOL, cl_terms, lam_terms, lambda_run,
                       left_spine, right_nested)
+
+
+class TestNodes:
+    @pytest.mark.parametrize("build, step", [
+        (left_spine, "fun"), (right_nested, "arg"), (lambda_run, "body"),
+    ], ids=["left_spine", "right_nested", "lambda_run"])
+    def test_eq_and_hash_deep(self, build, step):
+        a, b = build(DEEP), build(DEEP)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        c = replace_at(b, (step,) * DEEP, Var("other"))
+        assert a != c and not a == c
+
+    def test_kinds_differ(self):
+        assert Atom("x") != Var("x")
+        assert App(Atom("x"), Var("y")) != App(Var("x"), Var("y"))
+
+    def test_not_equal_to_non_terms(self):
+        assert Atom("K").__eq__("K") is NotImplemented
+        assert Atom("K") != "K"
+        assert App(Var("f"), "x") == App(Var("f"), "x")
+
+    @pytest.mark.parametrize("node, field", [
+        (Atom("K"), "name"), (Var("x"), "name"),
+        (App(Var("f"), Var("x")), "fun"), (App(Var("f"), Var("x")), "arg"),
+        (Lam("x", Var("x")), "binder"), (Lam("x", Var("x")), "body"),
+    ])
+    def test_fields_are_read_only(self, node, field):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Var("y"))
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+    @given(lam_terms)
+    def test_copy_and_pickle(self, t):
+        for c in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert c == t and type(c) is type(t) and hash(c) == hash(t)
 
 
 class TestBasics:
@@ -97,7 +139,7 @@ class TestFold:
     def test_cache_stores_and_skips(self):
         inner = App(Var("g"), Var("x"))
         t = App(Var("f"), inner)
-        assert _size(inner, "_probe") == 3
+        assert _size(inner, "_size") == 3
         calls = []
 
         def leaf(n):
@@ -105,11 +147,11 @@ class TestFold:
             return 1
 
         # inner holds a result already, so its leaves are not visited
-        assert fold(t, leaf, lambda n, f, a: 1 + f + a, None, "_probe") == 5
+        assert fold(t, leaf, lambda n, f, a: 1 + f + a, None, "_size") == 5
         assert calls == ["f"]
-        assert t._probe == 5 and t.fun._probe == 1
+        assert t._size == 5 and t.fun._size == 1
         # a root that holds a result is returned as it is
-        assert fold(t, None, None, None, "_probe") == 5
+        assert fold(t, None, None, None, "_size") == 5
 
     @pytest.mark.parametrize("build, size", [
         (left_spine, 2 * DEEP + 1),
