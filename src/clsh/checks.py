@@ -136,6 +136,9 @@ class CheckReport:
             out["lhs_nf"] = format_term(self.lhs_nf)
         if self.rhs_nf is not None:
             out["rhs_nf"] = format_term(self.rhs_nf)
+        if self.lhs_trace is not None:
+            out["lhs_steps"] = self.lhs_trace.nsteps
+            out["rhs_steps"] = self.rhs_trace.nsteps
         if self.steps:
             out["steps"] = [s.to_json() for s in self.steps]
         return out

@@ -10,10 +10,13 @@ rewritten, a Lam node is simply a value.  Two strategies are provided:
 
 Each strategy runs on a machine that never rescans from the root; both, and
 lam.py's beta machine, move on one frame zipper (see "the zipper machines").
-normalize() records every step the machine fires as a Trace; normalize_fast()
-runs the same machine without recording.  The rescanning reducer that
-defines both strategies lives in the test suite, which checks on random
-terms that the machines fire exactly its steps (rule, position, result).
+normalize() records the machine's fires as a Trace: at each fire it keeps
+the rule's name, a copy of the frame stack and the contractum, and the
+Trace builds each step's position and whole term from those only when its
+steps are first read.  normalize_fast() runs the same machine without
+recording.  The rescanning reducer that defines both strategies lives in
+the test suite, which checks on random terms that the machines fire exactly
+its steps (rule, position, result).
 
 The machines do not interpret patterns.  Each rule compiles, on its first
 use, into a generated function (RewriteRule.fire) that tests the left
@@ -29,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import CodeType
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .syntax import format_term, parse
 from .terms import (
@@ -360,16 +363,31 @@ class TraceStep:
         }
 
 
+# One fire as the machines record it: (rule name, the frames from the root
+# down to the fired node, the contractum).
+_Move = tuple[str, tuple[tuple[str, object], ...], Term]
+
+
 @dataclass(frozen=True)
 class Trace:
+    """A normalization as normalize() records it.  moves holds one
+    (rule name, frames, contractum) per fire; steps turns each into a
+    TraceStep, zipping the contractum into its frames for the whole term,
+    once, on first read, so a caller that reads only nsteps, status and
+    final never pays for it."""
     initial: Term
-    steps: tuple[TraceStep, ...]
+    moves: tuple[_Move, ...] = field(repr=False)
     status: str  # NORMAL_FORM or BUDGET_EXHAUSTED
     final: Term
 
     @property
     def nsteps(self) -> int:
-        return len(self.steps)
+        return len(self.moves)
+
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        return tuple([TraceStep(name, _path(frames), "->", _zip(frames, focus))
+                      for name, frames, focus in self.moves])
 
     def to_json(self) -> dict:
         return {
@@ -391,13 +409,15 @@ class Trace:
 # focus's position; _zip(frames, focus) rebuilds the whole term.  lo and ri
 # end in one fire block (budget stop, count, record, size stop) and then scan
 # down again: ri from the contractum, lo from rules.window frames up.  The
-# optional recorder gets (rule name, position, whole rewritten term).
+# optional recorder gets one _Move per fire, (rule name, tuple(frames),
+# contractum): a copy of the frame list, not the whole term, which only
+# Trace.steps builds.
 
 FUN, ARG, BODY = "fun", "arg", "body"
-_Recorder = Callable[[str, Position, Term], None]
+_Recorder = Callable[[_Move], None]
 
 
-def _zip(frames: list[tuple[str, object]], focus: Term) -> Term:
+def _zip(frames: Sequence[tuple[str, object]], focus: Term) -> Term:
     """The whole term: focus plugged into frames, innermost frame first."""
     for kind, sib in reversed(frames):
         if kind is FUN:
@@ -409,7 +429,7 @@ def _zip(frames: list[tuple[str, object]], focus: Term) -> Term:
     return focus
 
 
-def _path(frames: list[tuple[str, object]]) -> Position:
+def _path(frames: Sequence[tuple[str, object]]) -> Position:
     return tuple([kind for kind, _ in frames])
 
 
@@ -465,7 +485,7 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
         nsteps += 1
         total += delta
         if record is not None:
-            record(rule.name, _path(frames), _zip(frames, focus))
+            record((rule.name, tuple(frames), focus))
         if total > max_size:
             return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
         for _ in range(min(window, len(frames))):
@@ -518,7 +538,7 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int, max_size: int,
         nsteps += 1
         total += delta
         if record is not None:
-            record(rule.name, _path(frames), _zip(frames, focus))
+            record((rule.name, tuple(frames), focus))
         if total > max_size:
             return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
         down = True
@@ -534,15 +554,15 @@ def _machine(strategy: str):
 
 def normalize(t: Term, rules: RuleSet, max_steps: int = DEFAULT_MAX_STEPS,
               strategy: str = "lo", max_size: int = DEFAULT_MAX_SIZE) -> Trace:
-    """Normalize with the strategy's machine, recording every step.  Stops
-    with BUDGET_EXHAUSTED when max_steps reductions have fired and a redex
-    is still present, or when the term outgrows max_size nodes; the step
-    that outgrew it is recorded."""
-    steps: list[TraceStep] = []
-    final, _, status = _machine(strategy)(
-        t, rules, max_steps, max_size,
-        lambda name, pos, result: steps.append(TraceStep(name, pos, "->", result)))
-    return Trace(initial=t, steps=tuple(steps), status=status, final=final)
+    """Normalize with the strategy's machine, recording every fire as a
+    move of the Trace; its steps are built from the moves when first read.
+    Stops with BUDGET_EXHAUSTED when max_steps reductions have fired and a
+    redex is still present, or when the term outgrows max_size nodes; the
+    step that outgrew it is recorded."""
+    moves: list[_Move] = []
+    final, _, status = _machine(strategy)(t, rules, max_steps, max_size,
+                                          moves.append)
+    return Trace(initial=t, moves=tuple(moves), status=status, final=final)
 
 
 def normalize_fast(t: Term, rules: RuleSet, max_steps: int = DEFAULT_MAX_STEPS,

@@ -7,12 +7,13 @@ structurally; use alpha_eq for comparison up to bound-variable renaming.
 
 The nodes are slotted classes under one base, _Node, which also reserves
 the two cache slots that term_size and free_vars fill (_size and _fv).
-Assigning or deleting an attribute raises AttributeError.  == and hash
-walk the terms on an explicit stack, so they work at any depth.  The
-machines build a node for every contraction and every rebuilt ancestor,
-so __init__ stores the fields through the slot descriptors, bound once at
-import: that costs about 60% of the object.__setattr__ per field of a
-frozen dataclass.  __init__ validates nothing.
+Assigning or deleting an attribute raises AttributeError.  ==, hash and
+pickle walk the terms on an explicit stack, and a copy is the node itself,
+so all of them work at any depth.  The machines build a node for every
+contraction and every rebuilt ancestor, so __init__ stores the fields
+through the slot descriptors, bound once at import: that costs about 60%
+of the object.__setattr__ per field of a frozen dataclass.  __init__
+validates nothing.
 """
 
 from __future__ import annotations
@@ -68,9 +69,12 @@ class _Node:
                 return False
         return True
 
-    def __hash__(self):
-        # the hash of the preorder spelling, which equal terms share; kinds
-        # are tagged 0-3, not by class, whose hash changes between processes
+    def _spelling(self) -> tuple:
+        """The flat preorder spelling, which equal terms share: 0 or 1 and
+        the name for an Atom or Var, 2 for an App, 3 and the binder for a
+        Lam, and 4 and the child itself for a malformed node's child that
+        is not a term.  Kinds are tagged, not named by class, whose hash
+        changes between processes."""
         out: list = []
         stack = [self]
         while stack:
@@ -87,12 +91,22 @@ class _Node:
             elif ty is Var:
                 out += (1, n.name)
             else:
-                out.append(n)
-        return hash(tuple(out))
+                out += (4, n)
+        return tuple(out)
+
+    def __hash__(self):
+        return hash(self._spelling())
+
+    # Nodes are immutable, so a copy is the node itself; pickle stores the
+    # flat spelling, so neither recurses per level of the term.
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __reduce__(self):
-        return type(self), tuple([getattr(self, f)
-                                  for f in self.__match_args__])
+        return _rebuild, (self._spelling(),)
 
 
 class Atom(_Node):
@@ -131,6 +145,32 @@ _set_binder, _set_body = Lam.binder.__set__, Lam.body.__set__
 
 
 Term = Union[Atom, Var, App, Lam]
+
+
+def _rebuild(spelling: tuple) -> Term:
+    """The term whose _spelling is spelling, built bottom-up by reading the
+    spelling's items from the last one back."""
+    starts = []
+    i = 0
+    while i < len(spelling):
+        starts.append(i)
+        i += 1 if spelling[i] == 2 else 2
+    out: list = []
+    for i in reversed(starts):
+        tag = spelling[i]
+        if tag == 2:
+            f = out.pop()
+            out.append(App(f, out.pop()))
+        elif tag == 3:
+            out.append(Lam(spelling[i + 1], out.pop()))
+        elif tag == 0:
+            out.append(Atom(spelling[i + 1]))
+        elif tag == 1:
+            out.append(Var(spelling[i + 1]))
+        else:
+            out.append(spelling[i + 1])
+    return out[0]
+
 
 # A position is a path from the root: "fun"/"arg" through App, "body" through
 # Lam.  () is the root.

@@ -8,6 +8,7 @@ must fire exactly the steps these fire, with the same budget semantics.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from clsh.rewrite import (
@@ -20,6 +21,7 @@ from clsh.rewrite import (
     TraceStep,
     instantiate,
 )
+from clsh.syntax import format_term
 from clsh.terms import (
     App,
     Lam,
@@ -30,6 +32,37 @@ from clsh.terms import (
     substitute,
     term_size,
 )
+
+
+@dataclass(frozen=True, eq=False)
+class SpecTrace:
+    """The specs' record, built eagerly: the surface of clsh's Trace
+    (initial, steps, status, final, nsteps, to_json) spelled out directly,
+    so that the Trace a machine records is checked against it."""
+    initial: Term
+    steps: tuple[TraceStep, ...]
+    status: str
+    final: Term
+
+    def __eq__(self, other):
+        """Equal to a SpecTrace or a machine's Trace with the same initial
+        term, steps, status and final term."""
+        if not isinstance(other, (SpecTrace, Trace)):
+            return NotImplemented
+        return (self.initial, self.steps, self.status, self.final) == (
+            other.initial, other.steps, other.status, other.final)
+
+    @property
+    def nsteps(self) -> int:
+        return len(self.steps)
+
+    def to_json(self) -> dict:
+        return {
+            "initial": format_term(self.initial),
+            "steps": [s.to_json() for s in self.steps],
+            "status": self.status,
+            "final": format_term(self.final),
+        }
 
 
 def _ri_positions(t: Term) -> Iterator[tuple[Position, Term]]:
@@ -65,7 +98,8 @@ def reduce_step(t: Term, rules: RuleSet,
 
 
 def normalize(t: Term, rules: RuleSet, max_steps: int = DEFAULT_MAX_STEPS,
-              strategy: str = "lo", max_size: int = DEFAULT_MAX_SIZE) -> Trace:
+              strategy: str = "lo",
+              max_size: int = DEFAULT_MAX_SIZE) -> SpecTrace:
     """Normalize by iterated reduce_step, recording every step.  Stops with
     BUDGET_EXHAUSTED when max_steps reductions have fired and a redex is
     still present, or when the term outgrows max_size nodes."""
@@ -84,7 +118,7 @@ def normalize(t: Term, rules: RuleSet, max_steps: int = DEFAULT_MAX_STEPS,
         if term_size(cur) > max_size:
             status = BUDGET_EXHAUSTED
             break
-    return Trace(initial=t, steps=tuple(steps), status=status, final=cur)
+    return SpecTrace(initial=t, steps=tuple(steps), status=status, final=cur)
 
 
 def beta_step(t: Term) -> Optional[tuple[Position, Term]]:
@@ -97,7 +131,7 @@ def beta_step(t: Term) -> Optional[tuple[Position, Term]]:
 
 
 def beta_normalize(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
-                   max_size: int = DEFAULT_MAX_SIZE) -> Trace:
+                   max_size: int = DEFAULT_MAX_SIZE) -> SpecTrace:
     """Normal order normalization with a full trace."""
     steps: list[TraceStep] = []
     cur = t
@@ -114,4 +148,4 @@ def beta_normalize(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
         if term_size(cur) > max_size:
             status = BUDGET_EXHAUSTED
             break
-    return Trace(initial=t, steps=tuple(steps), status=status, final=cur)
+    return SpecTrace(initial=t, steps=tuple(steps), status=status, final=cur)

@@ -12,6 +12,7 @@ from clsh.cli import (
     main,
     sexpr,
 )
+from clsh.rewrite import FULL, normalize
 from clsh.syntax import parse
 
 
@@ -252,6 +253,25 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert blob["ok"] is True
         assert len(blob["checks"]) >= 12
+
+    def test_json_step_counts(self, capsys, tmp_path):
+        f = tmp_path / "modes.eqs"
+        f.write_text("check ext\nmode extensional 1\nlhs S K K\nrhs I\n\n"
+                     "check inst\nmode instance\nlet z = D u v\n"
+                     "lhs p z\nrhs u\n\n"
+                     "check chain\nmode chain\nlhs I x\nrhs x\n"
+                     "step I @ root -> x\n")
+        code, out, _ = run(capsys, "check", "--json", "--catalog", str(f))
+        assert code == EXIT_OK
+        ext, inst, chain = json.loads(out)["checks"]
+        sides = {"ext": ("S K K v0", "I v0"), "inst": ("p (D u v)", "u")}
+        for blob, want in ((ext, (2, 1)), (inst, (1, 0))):
+            lhs, rhs = sides[blob["name"]]
+            got = (blob["lhs_steps"], blob["rhs_steps"])
+            assert got == (normalize(parse(lhs), FULL).nsteps,
+                           normalize(parse(rhs), FULL).nsteps) == want
+        assert "lhs_steps" not in chain and "rhs_steps" not in chain
+        assert [s["rule"] for s in chain["steps"]] == ["I"]
 
     def test_failing_catalog(self, capsys, tmp_path):
         f = tmp_path / "bad.eqs"

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from clsh.rewrite import (
     parse_rule,
     parse_rules,
 )
+from clsh.disassemble import compile_term
 from clsh.syntax import format_term, parse
 from clsh.terms import (App, Atom, Var, app, positions, replace_at, subterm_at,
                         term_size)
@@ -447,6 +449,29 @@ class TestDeepTerms:
         assert format_term(final) == "I (" * (m - 1) + "I x" + ")" * (m - 1)
 
 
+class TestRecordingCost:
+    def test_exp_2_9_records_moves_not_terms(self):
+        # 2^9 on Church numerals: lo fires 16360 times on terms hundreds of
+        # nodes deep, and a whole term recorded per fire peaked near 300 MB
+        def numeral(n):
+            return r"(\f x. " + "f (" * n + "x" + ")" * n + ")"
+
+        t = compile_term(parse(rf"(\m n. n m) {numeral(2)} {numeral(9)} s z"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tr = normalize(t, FULL, max_steps=100_000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (tr.nsteps, tr.status) == (16360, NORMAL_FORM)
+        assert peak < 150 * 2**20
+        assert format_term(tr.final) == "s (" * 511 + "s z" + ")" * 511
+        steps = tr.steps
+        assert len(steps) == 16360 and steps[-1].result == tr.final
+
+
 class TestAncestorReenabling:
     def test_projection_after_inner_step(self):
         # the root becomes a redex only after the inner I unwraps the pair
@@ -475,8 +500,11 @@ class TestMachineAgreesWithReference:
     def _agree(self, t, rules, **kw):
         ref = spec_normalize(t, rules, **kw)
         tr = normalize(t, rules, **kw)
+        # what a caller reads without the steps comes first
+        assert (tr.initial, tr.nsteps, tr.status, tr.final) == (
+            t, ref.nsteps, ref.status, ref.final)
+        assert tr.to_json() == ref.to_json()
         assert _steps(tr) == _steps(ref)
-        assert (tr.initial, tr.status, tr.final) == (t, ref.status, ref.final)
         fast = normalize_fast(t, rules, **kw)
         assert fast == (ref.final, ref.nsteps, ref.status)
 
@@ -490,9 +518,28 @@ class TestMachineAgreesWithReference:
                     max_size=max_size)
 
     @settings(max_examples=80, deadline=None)
-    @given(cl_terms, st.sampled_from(("lo", "ri")), st.sampled_from((0, 1, 3, 300)))
-    def test_base_rules_only(self, t, strategy, max_steps):
-        self._agree(t, CL_BASE, max_steps=max_steps, strategy=strategy)
+    @given(cl_terms,
+           st.sampled_from(("lo", "ri")),
+           st.sampled_from((0, 1, 3, 300)),
+           st.sampled_from((64, 1_000_000)))
+    def test_base_rules_only(self, t, strategy, max_steps, max_size):
+        self._agree(t, CL_BASE, max_steps=max_steps, strategy=strategy,
+                    max_size=max_size)
+
+    @pytest.mark.parametrize("rules", [FULL, CL_BASE], ids=["FULL", "CL_BASE"])
+    @pytest.mark.parametrize("strategy", ["lo", "ri"])
+    @pytest.mark.parametrize("max_steps", [0, 1, 3, 300])
+    def test_size_guard_stop(self, rules, strategy, max_steps):
+        # grows without end; within 300 steps the size guard stops it, and
+        # the step that outgrew max_size is the last one recorded
+        t = parse("S I I (S I (S I I))")
+        kw = dict(max_steps=max_steps, strategy=strategy, max_size=64)
+        self._agree(t, rules, **kw)
+        tr = normalize(t, rules, **kw)
+        assert tr.status == BUDGET_EXHAUSTED
+        if max_steps == 300:
+            assert tr.nsteps < 300 and term_size(tr.final) > 64
+            assert tr.steps[-1].result == tr.final
 
     def test_positions_of_nested_fires(self):
         # K (I (I a)) (I b): lo fires K at the root, ri works inside first

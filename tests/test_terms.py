@@ -72,6 +72,25 @@ class TestNodes:
         for c in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert c == t and type(c) is type(t) and hash(c) == hash(t)
 
+    @pytest.mark.parametrize("build", [left_spine, right_nested, lambda_run],
+                             ids=["left_spine", "right_nested", "lambda_run"])
+    def test_copy_and_pickle_deep(self, build):
+        t = build(DEEP)
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        c = pickle.loads(pickle.dumps(t))
+        assert c is not t and c == t and type(c) is type(t)
+
+    # children that are not terms, some of them spelled like the kind tags
+    @pytest.mark.parametrize("t", [
+        App(Var("f"), "x"), App(Var("f"), 2), App(0, App(3, Atom("K"))),
+        Lam("x", 1), Lam("x", App(4, None)),
+    ])
+    def test_pickle_malformed_nodes(self, t):
+        c = pickle.loads(pickle.dumps(t))
+        assert c == t and type(c) is type(t) and hash(c) == hash(t)
+        assert copy.deepcopy(t) is t
+
 
 class TestBasics:
     def test_term_size(self):
