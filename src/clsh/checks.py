@@ -326,7 +326,7 @@ def replay_chain(check: EquationCheck, rules: RuleSet) -> CheckReport:
         if hit is None:
             return failure(
                 i, f"rule {step.rule} does not match at {format_term(sub)}", done)
-        got = replace_at(src, step.pos, hit[0])
+        got = replace_at(src, step.pos, hit)
         if not alpha_eq(got, dst):
             return failure(
                 i, f"rule {step.rule} gives {format_term(got)}, "

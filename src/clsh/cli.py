@@ -6,8 +6,9 @@
     clsh check             run an equation catalog
 
 Exit codes: 0 success, 1 a check failed, 2 bad input or usage, 3 the step
-budget or the term size guard ran out.  CLSH_MAX_STEPS overrides the
-default budget; it and --max-steps must be non-negative integers.
+budget or the term size guard ran out (compile checks the guard too).
+CLSH_MAX_STEPS overrides the default budget; it and --max-steps must be
+non-negative integers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .checks import (CatalogError, builtin_catalog, checks_and_rules,
                      load_catalog, run_checks)
-from .disassemble import NoDefinitionError, compile_term
+from .disassemble import NoDefinitionError, TermTooLargeError, compile_term
 from .rewrite import (
     BUDGET_EXHAUSTED,
     CL_BASE,
@@ -138,10 +139,8 @@ def _cmd_reduce(args, cfg: SyntaxConfig) -> int:
         print(format_term(final))
     if status == BUDGET_EXHAUSTED:
         if fired < steps:  # the machines stop early only at the size guard
-            print(f"size budget exhausted ({DEFAULT_MAX_SIZE} nodes)",
-                  file=sys.stderr)
-        else:
-            print(f"step budget exhausted ({steps})", file=sys.stderr)
+            raise TermTooLargeError
+        print(f"step budget exhausted ({steps})", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -187,6 +186,10 @@ def main(argv=None) -> int:
                 return _cmd_reduce(args, cfg)
             case "check":
                 return _cmd_check(args)
+    except TermTooLargeError:  # from the compiler or the machines
+        print(f"size budget exhausted ({DEFAULT_MAX_SIZE} nodes)",
+              file=sys.stderr)
+        return EXIT_BUDGET
     except (TermSyntaxError, IllFormedRuleError, CatalogError,
             NoDefinitionError, OSError, ValueError) as e:
         print(f"clsh: {e}", file=sys.stderr)

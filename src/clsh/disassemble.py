@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from functools import cache
 
+from .rewrite import DEFAULT_MAX_SIZE
 from .syntax import parse
 from .terms import App, Atom, Lam, Term, Var, fold, free_vars
 
@@ -32,6 +33,11 @@ class NestedLambdaError(ValueError):
 
 class NoDefinitionError(KeyError):
     """The atom has no lambda definition to unfold."""
+
+
+class TermTooLargeError(Exception):
+    """A term outgrew the DEFAULT_MAX_SIZE-node size guard; compile_term()
+    raises it before building a disassembly that would."""
 
 
 def compile_abstraction(x: str, body: Term) -> Term:
@@ -53,12 +59,22 @@ def _nested_lambda(n: Lam, b: Term) -> Term:
 
 def compile_term(t: Term, use_eta: bool = False) -> Term:
     """Replace every lambda in t by its I/K/S disassembly, innermost first.
-    The result has no Lam nodes; variables that were free stay free."""
+    The result has no Lam nodes; variables that were free stay free.
+    Each binder can triple the term, so a disassembly of more than
+    DEFAULT_MAX_SIZE nodes raises TermTooLargeError before it is built."""
     def lam(n: Lam, b: Term) -> Term:
         x = n.binder
         if (use_eta and type(b) is App and type(b.arg) is Var
                 and b.arg.name == x and x not in free_vars(b.fun)):
             return b.fun
+        if 3 * b._size > DEFAULT_MAX_SIZE:  # \x.b has 3|b| - 2 occ(x, b) nodes
+            occ = fold(b, lambda v: int(type(v) is Var and v.name == x),
+                       lambda n, f, a: f + a, _nested_lambda)
+            size = 3 * b._size - 2 * occ
+            if size > DEFAULT_MAX_SIZE:
+                raise TermTooLargeError(
+                    f"compiling \\{x} would build {size} nodes, over the "
+                    f"size guard of {DEFAULT_MAX_SIZE}")
         return compile_abstraction(x, b)
 
     return fold(t, _same, _rebuild_app, lam)

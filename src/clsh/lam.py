@@ -21,7 +21,7 @@ from .rewrite import (
     NORMAL_FORM,
     _zip,
 )
-from .terms import App, Lam, Term, substitute, term_size
+from .terms import App, Lam, Term, substitute
 
 
 def beta_normalize_fast(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
@@ -33,14 +33,15 @@ def beta_normalize_fast(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
     leftmost-outermost redex, so fire there and keep going.  A stuck head
     hands control back up, normalizing arguments left to right.  Subtrees
     already in normal form are remembered by identity, which matters because
-    substitution duplicates arguments as shared subterms.
+    substitution duplicates arguments as shared subterms.  The size guard
+    (max_size nodes) reads the sizes every node carries from construction.
     """
     seen: dict[int, Term] = {}
     frames: list[tuple[str, object]] = []
     focus = t
     down = True
     nsteps = 0
-    total = term_size(t)
+    total = t._size
 
     while True:
         if down:
@@ -56,10 +57,10 @@ def beta_normalize_fast(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
                     if nsteps >= max_steps:
                         return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
                     _, a = frames.pop()
-                    redex_size = 1 + term_size(focus) + term_size(a)
+                    redex_size = 1 + focus._size + a._size
                     focus = substitute(focus.body, focus.binder, a)
                     nsteps += 1
-                    total += term_size(focus) - redex_size
+                    total += focus._size - redex_size
                     if total > max_size:
                         return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
                 else:

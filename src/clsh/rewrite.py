@@ -21,9 +21,9 @@ its steps (rule, position, result).
 The machines do not interpret patterns.  Each rule compiles, on its first
 use, into a generated function (RewriteRule.fire) that tests the left
 side's nodes by field access and builds the right side straight from the
-matched fields, returning the contractum and the change in term size.
-match_at(), match() and instantiate() stay as the reference the compiled
-rules are tested against.
+matched fields, returning the contractum; the size guard reads the sizes
+nodes carry from construction.  match_at(), match() and instantiate() stay
+as the reference the compiled rules are tested against.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .terms import (
     fold,
     pos_to_str,
     spine,
-    term_size,
 )
 
 DEFAULT_MAX_STEPS = 10_000
@@ -74,9 +73,9 @@ class RewriteRule:
         return f"{self.name}: {format_term(self.lhs)} => {format_term(self.rhs)}"
 
     @cached_property
-    def fire(self) -> Callable[[Term], Optional[tuple[Term, int]]]:
-        """fire(node) -> (contractum, size change) if the left side matches
-        at node, else None; generated on first use."""
+    def fire(self) -> Callable[[Term], Optional[Term]]:
+        """fire(node) -> the contractum if the left side matches at node,
+        else None; generated on first use."""
         return _compile(self)
 
 
@@ -114,7 +113,7 @@ def make_rule(name: str, lhs: Term, rhs: Term) -> RewriteRule:
                        depth)
 
 
-def _compile(rule: RewriteRule) -> Callable[[Term], Optional[tuple[Term, int]]]:
+def _compile(rule: RewriteRule) -> Callable[[Term], Optional[Term]]:
     """Generate and exec the source of rule.fire.
 
     One flat statement per pattern node and per built App, since nested
@@ -122,21 +121,16 @@ def _compile(rule: RewriteRule) -> Callable[[Term], Optional[tuple[Term, int]]]:
     Nothing from the rule's text reaches the source except atom names, as
     repr() literals; right-side atoms are bound as constants, so the
     contractum shares the rule's own Atom objects, as instantiate() does.
-    The size change is (non-variable nodes of rhs - those of lhs) plus
-    (occurrences in rhs - 1) * size of the binding, over the variables a
-    rule erases or duplicates.
     """
     lines: list[str] = []
-    env: dict[str, object] = {"App": App, "Atom": Atom, "term_size": term_size}
+    env: dict[str, object] = {"App": App, "Atom": Atom}
     bound: dict[str, str] = {}
-    delta = 0
     stack = [(rule.lhs, "node")]
     while stack:
         p, x = stack.pop()
         if type(p) is Var:
             bound[p.name] = x
             continue
-        delta -= 1
         if type(p) is Atom:
             lines.append(f"if type({x}) is not Atom or {x}.name != {p.name!r}:"
                          " return None")
@@ -146,13 +140,11 @@ def _compile(rule: RewriteRule) -> Callable[[Term], Optional[tuple[Term, int]]]:
         lines.append(f"{f} = {x}.fun; {a} = {x}.arg")
         stack.append((p.arg, a))
         stack.append((p.fun, f))
-    uses = dict.fromkeys(bound, 0)
     out: list[str] = []
     work: list[tuple[Term, bool]] = [(rule.rhs, False)]
     while work:
         t, built = work.pop()
         if type(t) is Var:
-            uses[t.name] += 1
             out.append(bound[t.name])
             continue
         if not built and type(t) is App:
@@ -160,7 +152,6 @@ def _compile(rule: RewriteRule) -> Callable[[Term], Optional[tuple[Term, int]]]:
             work.append((t.arg, False))
             work.append((t.fun, False))
             continue
-        delta += 1
         if type(t) is Atom:
             name = f"_c{len(env)}"
             env[name] = t
@@ -169,11 +160,7 @@ def _compile(rule: RewriteRule) -> Callable[[Term], Optional[tuple[Term, int]]]:
             name = f"_b{len(lines)}"
             lines.append(f"{name} = App({out.pop()}, {a})")
         out.append(name)
-    lines.append(f"delta = {delta}")
-    for v, n in uses.items():
-        if n != 1:
-            lines.append(f"delta += {n - 1} * term_size({bound[v]})")
-    lines.append(f"return {out[0]}, delta")
+    lines.append(f"return {out[0]}")
     src = "def fire(node):\n" + "".join(f"    {line}\n" for line in lines)
     exec(_code(src), env)
     return env["fire"]
@@ -269,13 +256,13 @@ class RuleSet:
                 return rule, sigma
         return None
 
-    def fire_at(self, node: Term) -> Optional[tuple[RewriteRule, Term, int]]:
+    def fire_at(self, node: Term) -> Optional[tuple[RewriteRule, Term]]:
         """First rule (catalog order) that fires at this node, with the
-        contractum and the change in term size, or None."""
+        contractum, or None."""
         for rule in self._bucket(node):
             hit = rule.fire(node)
             if hit is not None:
-                return rule, hit[0], hit[1]
+                return rule, hit
         return None
 
 
@@ -449,7 +436,7 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
     focus = t
     down = True
     nsteps = 0
-    total = term_size(t)
+    total = t._size
     window = rules.window
     fire_at = rules.fire_at
 
@@ -481,9 +468,9 @@ def _machine_lo(t: Term, rules: RuleSet, max_steps: int, max_size: int,
             continue
         if nsteps >= max_steps:
             return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
-        rule, focus, delta = m
         nsteps += 1
-        total += delta
+        total += m[1]._size - focus._size
+        rule, focus = m
         if record is not None:
             record((rule.name, tuple(frames), focus))
         if total > max_size:
@@ -504,7 +491,7 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int, max_size: int,
     focus = t
     down = True
     nsteps = 0
-    total = term_size(t)
+    total = t._size
     fire_at = rules.fire_at
 
     while True:
@@ -534,9 +521,9 @@ def _machine_ri(t: Term, rules: RuleSet, max_steps: int, max_size: int,
             continue
         if nsteps >= max_steps:
             return _zip(frames, focus), nsteps, BUDGET_EXHAUSTED
-        rule, focus, delta = m
         nsteps += 1
-        total += delta
+        total += m[1]._size - focus._size
+        rule, focus = m
         if record is not None:
             record((rule.name, tuple(frames), focus))
         if total > max_size:

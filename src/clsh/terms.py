@@ -6,14 +6,16 @@ binds and is never substituted for.  Terms are immutable and compare
 structurally; use alpha_eq for comparison up to bound-variable renaming.
 
 The nodes are slotted classes under one base, _Node, which also reserves
-the two cache slots that term_size and free_vars fill (_size and _fv).
+_size, the number of nodes, and the cache slot free_vars fills (_fv).  A
+node's size is set when it is built: App and Lam store theirs from their
+children's, and a leaf's is a class attribute, 1, shadowing the slot.
 Assigning or deleting an attribute raises AttributeError.  ==, hash and
 pickle walk the terms on an explicit stack, and a copy is the node itself,
 so all of them work at any depth.  The machines build a node for every
 contraction and every rebuilt ancestor, so __init__ stores the fields
 through the slot descriptors, bound once at import: that costs about 60%
 of the object.__setattr__ per field of a frozen dataclass.  __init__
-validates nothing.
+validates nothing; a node with a child that is not a term has no size.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class _Node:
     """The base of the four node kinds: immutable, compared and hashed
     structurally on an explicit stack."""
 
-    __slots__ = ("_size", "_fv")  # the caches of term_size and free_vars
+    __slots__ = ("_size", "_fv")  # the size, and the cache of free_vars
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -111,6 +113,7 @@ class _Node:
 
 class Atom(_Node):
     __slots__ = __match_args__ = ("name",)
+    _size = 1
 
     def __init__(self, name: str):
         _set_atom_name(self, name)
@@ -118,6 +121,7 @@ class Atom(_Node):
 
 class Var(_Node):
     __slots__ = __match_args__ = ("name",)
+    _size = 1
 
     def __init__(self, name: str):
         _set_var_name(self, name)
@@ -129,6 +133,10 @@ class App(_Node):
     def __init__(self, fun: Term, arg: Term):
         _set_fun(self, fun)
         _set_arg(self, arg)
+        try:
+            _set_size(self, 1 + fun._size + arg._size)
+        except AttributeError:  # a child that is not a term
+            pass
 
 
 class Lam(_Node):
@@ -137,11 +145,16 @@ class Lam(_Node):
     def __init__(self, binder: str, body: Term):
         _set_binder(self, binder)
         _set_body(self, body)
+        try:
+            _set_size(self, 1 + body._size)
+        except AttributeError:  # a body that is not a term
+            pass
 
 
 _set_atom_name, _set_var_name = Atom.name.__set__, Var.name.__set__
 _set_fun, _set_arg = App.fun.__set__, App.arg.__set__
 _set_binder, _set_body = Lam.binder.__set__, Lam.body.__set__
+_set_size = _Node._size.__set__
 
 
 Term = Union[Atom, Var, App, Lam]
@@ -195,10 +208,9 @@ def fold(t: Term, leaf: Callable, app: Callable, lam: Callable,
 
     leaf(n) is called at each Atom or Var, left to right; app(n, f, a) and
     lam(n, b) get the node and the results for its children.  Any other
-    node raises TypeError.  Given cache, the name of one of the slots
-    _Node reserves, each node's result is stored there, and a subtree
-    whose root already holds one is not walked again; results must then
-    never be None.
+    node raises TypeError.  Given cache, the name of a cache slot (_fv),
+    each node's result is stored there, and a subtree whose root already
+    holds one is not walked again; results must then never be None.
     """
     if cache is not None:
         r = getattr(t, cache, None)
@@ -284,46 +296,13 @@ _Node.__repr__ = _repr
 # basic queries
 
 def term_size(t: Term) -> int:
-    """Number of nodes.  Cached on the node, since the rewrite machines ask
-    for sizes of shared subterms constantly."""
-    # not a fold: this is the machines' hot path, and a fold's callbacks
-    # cost about a third more per fresh node.  Leaves are never probed:
-    # reading an unset slot raises inside getattr, which costs about four
-    # times a hit, so a leaf's size is stored (or returned) unasked.
-    ty = type(t)
-    if ty is not App and ty is not Lam:
-        return 1
-    cached = getattr(t, "_size", None)
-    if cached is not None:
-        return cached
-    # iterative to survive very deep terms
-    order = [t]
-    stack = [t.fun, t.arg] if ty is App else [t.body]
-    while stack:
-        n = stack.pop()
-        ty = type(n)
-        if ty is App:
-            if getattr(n, "_size", None) is None:
-                order.append(n)
-                stack += (n.fun, n.arg)
-        elif ty is Lam:
-            if getattr(n, "_size", None) is None:
-                order.append(n)
-                stack.append(n.body)
-        else:
-            object.__setattr__(n, "_size", 1)
-    for n in reversed(order):
-        if type(n) is App:  # children come first in this order
-            s = 1 + n.fun._size + n.arg._size
-        else:
-            s = 1 + n.body._size
-        object.__setattr__(n, "_size", s)
+    """Number of nodes, stored on each node when it is built."""
     return t._size
 
 
 def free_vars(t: Term) -> frozenset[str]:
     """Free variable names of t.  Atoms contribute nothing.  Cached on the
-    node, like term_size."""
+    node, since substitution asks for them at every subterm it visits."""
     return fold(t, _leaf_vars, _union_vars, _bind_var, "_fv")
 
 
@@ -350,29 +329,35 @@ def fresh_var(avoid: set[str] | frozenset[str], hint: str = "v") -> str:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """Equality up to renaming of bound variables."""
-    # pairs of (term, term, binder-env-a, binder-env-b); envs map names to
-    # the nesting depth of the Lam that bound them
-    stack: list[tuple[Term, Term, dict, dict, int]] = [(a, b, {}, {}, 0)]
+    """Equality up to renaming of bound variables, in time linear in the
+    terms: one map per side from a bound name to a record of the pair of
+    Lams that binds it, and leaving the pair restores what they shadowed."""
+    ea: dict[str, Optional[tuple]] = {}
+    eb: dict[str, Optional[tuple]] = {}
+    stack: list = [a, b]  # pairs; a Lam's body sits above its restore marker
     while stack:
-        a, b, ea, eb, d = stack.pop()
-        if type(a) is not type(b):
+        b = stack.pop()
+        a = stack.pop()
+        if a is _LAM_DONE:
+            va, oa, vb, ob = b
+            ea[va], eb[vb] = oa, ob
+            continue
+        ty = type(a)
+        if ty is not type(b):
             return False
-        match a:
-            case Atom(n):
-                if n != b.name:
-                    return False
-            case Var(n):
-                la, lb = ea.get(n), eb.get(b.name)
-                if la != lb:
-                    return False
-                if la is None and n != b.name:
-                    return False
-            case App(f, x):
-                stack.append((f, b.fun, ea, eb, d))
-                stack.append((x, b.arg, ea, eb, d))
-            case Lam(v, body):
-                stack.append((body, b.body, ea | {v: d}, eb | {b.binder: d}, d + 1))
+        if ty is App:
+            stack += (a.fun, b.fun, a.arg, b.arg)
+        elif ty is Lam:
+            va, vb = a.binder, b.binder
+            rec = (va, ea.get(va), vb, eb.get(vb))
+            ea[va] = eb[vb] = rec
+            stack += (_LAM_DONE, rec, a.body, b.body)
+        elif ty is Var:
+            la = ea.get(a.name)
+            if la is not eb.get(b.name) or (la is None and a.name != b.name):
+                return False
+        elif ty is Atom and a.name != b.name:
+            return False
     return True
 
 

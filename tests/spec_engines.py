@@ -4,6 +4,8 @@ Each step scans the whole term from the root in strategy order and fires
 the first redex it meets, so the reduction sequence can be read straight
 off the scan order.  clsh.rewrite.normalize and clsh.lam.beta_normalize_fast
 must fire exactly the steps these fire, with the same budget semantics.
+alpha_eq here, which copies its binder maps at every Lam, is the spec of
+clsh.terms.alpha_eq.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from clsh.rewrite import (
 from clsh.syntax import format_term
 from clsh.terms import (
     App,
+    Atom,
     Lam,
     Position,
     Term,
+    Var,
     positions,
     replace_at,
     substitute,
@@ -149,3 +153,31 @@ def beta_normalize(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
             status = BUDGET_EXHAUSTED
             break
     return SpecTrace(initial=t, steps=tuple(steps), status=status, final=cur)
+
+
+def alpha_eq(a: Term, b: Term) -> bool:
+    """Equality up to renaming of bound variables; each Lam copies the
+    binder maps, so a run of n binders costs O(n^2)."""
+    # pairs of (term, term, binder-env-a, binder-env-b); envs map names to
+    # the nesting depth of the Lam that bound them
+    stack: list[tuple[Term, Term, dict, dict, int]] = [(a, b, {}, {}, 0)]
+    while stack:
+        a, b, ea, eb, d = stack.pop()
+        if type(a) is not type(b):
+            return False
+        match a:
+            case Atom(n):
+                if n != b.name:
+                    return False
+            case Var(n):
+                la, lb = ea.get(n), eb.get(b.name)
+                if la != lb:
+                    return False
+                if la is None and n != b.name:
+                    return False
+            case App(f, x):
+                stack.append((f, b.fun, ea, eb, d))
+                stack.append((x, b.arg, ea, eb, d))
+            case Lam(v, body):
+                stack.append((body, b.body, ea | {v: d}, eb | {b.binder: d}, d + 1))
+    return True

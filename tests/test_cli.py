@@ -1,9 +1,13 @@
 """Command line behavior: output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import clsh
 from clsh.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -111,6 +115,48 @@ class TestCompileCommand:
         src = "f" + " x" * n
         assert run(capsys, "compile", "--eta", f"\\y. {src} y") == (
             EXIT_OK, src + "\n", "")
+
+    @pytest.mark.parametrize("n, size", [(6, 1210), (8, 10930)])
+    def test_nested_binders(self, capsys, n, size):
+        code, out, err = run(capsys, "compile", _binders(n))
+        assert (code, len(out.encode()), err) == (EXIT_OK, size, "")
+
+    @pytest.mark.parametrize("cmd, n", [
+        ("compile", 20), ("compile", 5000), ("reduce", 20),
+    ])
+    def test_nested_binders_stop_at_the_size_guard(self, cmd, n):
+        # each binder triples the output: the 13th would build 3^13 nodes,
+        # over the 10^6-node guard.  Run apart, in an address space capped
+        # at 1 GiB, so a compiler without the guard fails instead of
+        # exhausting memory.
+        out = subprocess.run(
+            [sys.executable, "-c", _GUARDED_RUN, cmd, _binders(n)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": _SRC})
+        assert out.stderr == "size budget exhausted (1000000 nodes)\n"
+        code, seconds, peak = out.stdout.split()
+        assert int(code) == EXIT_BUDGET
+        assert float(seconds) < 60 and int(peak) < 256 * 2**20
+
+
+_SRC = os.path.dirname(os.path.dirname(clsh.__file__))
+
+# argv: the clsh command and its term; prints the exit code, the seconds
+# main took and the tracemalloc peak in bytes
+_GUARDED_RUN = """
+import resource, sys, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from clsh.cli import main
+tracemalloc.start()
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def _binders(n):
+    """\\x0 x1 … x(n-1). x0"""
+    return "\\" + " ".join(f"x{i}" for i in range(n)) + ". x0"
 
 
 class TestReduceCommand:

@@ -17,7 +17,8 @@ from clsh.disassemble import (
 )
 from clsh.rewrite import CL_BASE, DERIVED, NORMAL_FORM, normalize_fast
 from clsh.syntax import parse
-from clsh.terms import App, Atom, Lam, Term, Var, free_vars, substitute
+from clsh.terms import (App, Atom, Lam, Term, Var, free_vars, positions,
+                        substitute, term_size)
 
 from conftest import basis_terms
 
@@ -60,6 +61,13 @@ class TestCompileAbstraction:
     def test_rejects_inner_lambda(self):
         with pytest.raises(NestedLambdaError):
             compile_abstraction("x", Lam("y", Var("x")))
+
+    @given(basis_terms, st.sampled_from(("x", "y", "a")))
+    def test_size_is_predicted(self, body, x):
+        # the count compile_term checks against the size guard
+        occ = sum(1 for _, s in positions(body) if s == Var(x))
+        assert (term_size(compile_abstraction(x, body))
+                == 3 * term_size(body) - 2 * occ)
 
 
 class TestCompileTerm:

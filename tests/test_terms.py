@@ -3,6 +3,7 @@ alpha equivalence, positions."""
 
 import copy
 import pickle
+import time
 
 import pytest
 from hypothesis import given
@@ -32,6 +33,7 @@ from clsh.terms import _subst_env
 
 from conftest import (DEEP, VAR_POOL, cl_terms, lam_terms, lambda_run,
                       left_spine, right_nested)
+from spec_engines import alpha_eq as spec_alpha_eq
 
 
 class TestNodes:
@@ -98,6 +100,17 @@ class TestBasics:
         assert term_size(App(Atom("K"), Var("x"))) == 3
         assert term_size(Lam("x", App(Var("x"), Var("x")))) == 4
 
+    @given(st.one_of(lam_terms, cl_terms))
+    def test_sizes_set_at_construction(self, t):
+        # read straight after construction: nothing may fill a size later
+        for _, n in positions(t):
+            assert n._size == _size(n)
+
+    def test_malformed_nodes_construct_without_size(self):
+        for t in (App(Var("f"), "x"), Lam("x", None),
+                  App(App(Var("f"), 2), Var("y"))):
+            assert not hasattr(t, "_size")
+
     def test_free_vars(self):
         t = Lam("x", App(Var("x"), Var("y")))
         assert free_vars(t) == frozenset({"y"})
@@ -158,7 +171,7 @@ class TestFold:
     def test_cache_stores_and_skips(self):
         inner = App(Var("g"), Var("x"))
         t = App(Var("f"), inner)
-        assert _size(inner, "_size") == 3
+        assert _size(inner, "_fv") == 3
         calls = []
 
         def leaf(n):
@@ -166,11 +179,11 @@ class TestFold:
             return 1
 
         # inner holds a result already, so its leaves are not visited
-        assert fold(t, leaf, lambda n, f, a: 1 + f + a, None, "_size") == 5
+        assert fold(t, leaf, lambda n, f, a: 1 + f + a, None, "_fv") == 5
         assert calls == ["f"]
-        assert t._size == 5 and t.fun._size == 1
+        assert t._fv == 5 and t.fun._fv == 1
         # a root that holds a result is returned as it is
-        assert fold(t, None, None, None, "_size") == 5
+        assert fold(t, None, None, None, "_fv") == 5
 
     @pytest.mark.parametrize("build, size", [
         (left_spine, 2 * DEEP + 1),
@@ -261,6 +274,39 @@ class TestAlphaEq:
     @given(lam_terms)
     def test_reflexive(self, t):
         assert alpha_eq(t, t)
+
+    @given(lam_terms, lam_terms, st.data())
+    def test_agrees_with_spec(self, t, u, data):
+        renamed = _rename(t, lambda: data.draw(st.sampled_from(VAR_POOL)), {})
+        for a, b in ((t, u), (t, renamed), (renamed, t)):
+            assert alpha_eq(a, b) == spec_alpha_eq(a, b)
+
+    def test_deep_binder_runs(self):
+        # \x0 … x(n-1). x0 x(n-1), binders all distinct, on each side
+        def run(prefix, first, last):
+            t = App(Var(f"{prefix}{first}"), Var(f"{prefix}{last}"))
+            for i in reversed(range(DEEP)):
+                t = Lam(f"{prefix}{i}", t)
+            return t
+
+        a, b, c = run("x", 0, DEEP - 1), run("y", 0, DEEP - 1), run("y", 1, 0)
+        start = time.perf_counter()
+        assert alpha_eq(a, b)
+        assert not alpha_eq(a, c)
+        assert time.perf_counter() - start < 20
+
+
+def _rename(t, pick, env):
+    """t with each binder renamed to pick(), its bound occurrences with it;
+    a capture is allowed, so the result need not be alpha-equal to t."""
+    if type(t) is Var:
+        return Var(env.get(t.name, t.name))
+    if type(t) is App:
+        return App(_rename(t.fun, pick, env), _rename(t.arg, pick, env))
+    if type(t) is Lam:
+        w = pick()
+        return Lam(w, _rename(t.body, pick, {**env, t.binder: w}))
+    return t
 
 
 class TestPositions:
