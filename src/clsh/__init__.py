@@ -28,9 +28,7 @@ from .syntax import (
     SyntaxConfig,
     TermSyntaxError,
     format_term,
-    from_json,
     parse,
-    to_json,
 )
 from .rewrite import (
     BUDGET_EXHAUSTED,
@@ -63,7 +61,6 @@ from .disassemble import (
 from .lam import beta_normalize_fast
 from .checks import (
     CatalogError,
-    ChainStep,
     CheckReport,
     EquationCheck,
     builtin_catalog,

@@ -64,7 +64,6 @@ from .rewrite import (
 )
 from .syntax import format_term, parse
 from .terms import (
-    Position,
     Term,
     Var,
     alpha_eq,
@@ -82,14 +81,6 @@ class CatalogError(ValueError):
 
 
 @dataclass(frozen=True)
-class ChainStep:
-    rule: str
-    pos: Position
-    dir: str  # "->" or "<-"
-    term: Term
-
-
-@dataclass(frozen=True)
 class EquationCheck:
     name: str
     mode: str  # "extensional" | "instance" | "chain"
@@ -97,7 +88,7 @@ class EquationCheck:
     rhs: Term
     arity: int = 0
     bindings: tuple[tuple[str, Term], ...] = ()
-    script: tuple[ChainStep, ...] = ()
+    script: tuple[TraceStep, ...] = ()
     hypotheses: tuple[RewriteRule, ...] = ()
     expect: str = "equal"  # or "distinct"
     expanded: str = "same"  # or "distinct" or "skip"
@@ -233,7 +224,7 @@ def load_catalog(text: str) -> list[EquationCheck]:
                     m = _STEP_RE.fullmatch(rest)
                     if not m:
                         raise CatalogError("expected 'step RULE @ POS -> TERM'")
-                    cur["steps"].append(ChainStep(
+                    cur["steps"].append(TraceStep(
                         m.group(1), pos_from_str(m.group(2)), m.group(3),
                         parse(m.group(4))))
                 case _:
@@ -316,8 +307,8 @@ def replay_chain(check: EquationCheck, rules: RuleSet) -> CheckReport:
         rule = by_name.get(step.rule)
         if rule is None:
             return failure(i, f"unknown rule {step.rule!r}", done)
-        src = cur if step.dir == "->" else step.term
-        dst = step.term if step.dir == "->" else cur
+        src = cur if step.dir == "->" else step.result
+        dst = step.result if step.dir == "->" else cur
         try:
             sub = subterm_at(src, step.pos)
         except ValueError:
@@ -331,8 +322,8 @@ def replay_chain(check: EquationCheck, rules: RuleSet) -> CheckReport:
             return failure(
                 i, f"rule {step.rule} gives {format_term(got)}, "
                    f"the script says {format_term(dst)}", done)
-        cur = step.term
-        done.append(TraceStep(step.rule, step.pos, step.dir, step.term))
+        cur = step.result
+        done.append(step)
     if not alpha_eq(cur, check.rhs):
         return failure(len(check.script),
                        f"chain ends at {format_term(cur)}, not the rhs", done)

@@ -60,22 +60,31 @@ def _nested_lambda(n: Lam, b: Term) -> Term:
 def compile_term(t: Term, use_eta: bool = False) -> Term:
     """Replace every lambda in t by its I/K/S disassembly, innermost first.
     The result has no Lam nodes; variables that were free stay free.
-    Each binder can triple the term, so a disassembly of more than
-    DEFAULT_MAX_SIZE nodes raises TermTooLargeError before it is built."""
+    Each binder can triple the term, so compile_term keeps the size of the
+    whole output as it goes, and raises TermTooLargeError before building a
+    disassembly that would take it over DEFAULT_MAX_SIZE nodes.  A
+    lambda-free term compiles to itself and is never refused."""
+    total = t._size  # the output's size so far: t with each \x.b replaced
+
     def lam(n: Lam, b: Term) -> Term:
+        nonlocal total
         x = n.binder
         if (use_eta and type(b) is App and type(b.arg) is Var
                 and b.arg.name == x and x not in free_vars(b.fun)):
-            return b.fun
-        if 3 * b._size > DEFAULT_MAX_SIZE:  # \x.b has 3|b| - 2 occ(x, b) nodes
-            occ = fold(b, lambda v: int(type(v) is Var and v.name == x),
-                       lambda n, f, a: f + a, _nested_lambda)
-            size = 3 * b._size - 2 * occ
-            if size > DEFAULT_MAX_SIZE:
-                raise TermTooLargeError(
-                    f"compiling \\{x} would build {size} nodes, over the "
-                    f"size guard of {DEFAULT_MAX_SIZE}")
-        return compile_abstraction(x, b)
+            out = b.fun
+        else:
+            if total + 2 * b._size - 1 > DEFAULT_MAX_SIZE:
+                # \x.b has 3|b| - 2 occ(x, b) nodes, where it had 1 + |b|
+                occ = fold(b, lambda v: int(type(v) is Var and v.name == x),
+                           lambda n, f, a: f + a, _nested_lambda)
+                size = total + 2 * b._size - 2 * occ - 1
+                if size > DEFAULT_MAX_SIZE:
+                    raise TermTooLargeError(
+                        f"compiling \\{x} would take the output to {size} "
+                        f"nodes, over the size guard of {DEFAULT_MAX_SIZE}")
+            out = compile_abstraction(x, b)
+        total += out._size - 1 - b._size
+        return out
 
     return fold(t, _same, _rebuild_app, lam)
 

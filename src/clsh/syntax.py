@@ -16,16 +16,19 @@ Identifiers in the atom catalog and single uppercase letters are atoms;
 everything else is a variable.  The token B2 always parses as B B B, the
 composition of two functions of two arguments being definable but not worth
 a rule of its own.  Greek aliases: λ, ε=eps, Φ=Phi, Ψ=Psi, ρ=rho.
+
+The parser reads this grammar in one loop over the tokens, with its open
+brackets, binders and composition dots on an explicit stack, so terms of
+any depth read back: what format_term prints, parse reads.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import reprlib
 from dataclasses import dataclass
 
-from .terms import ATOM_CATALOG, App, Atom, Lam, Term, Var, _render, fold
+from .terms import ATOM_CATALOG, App, Atom, Lam, Term, Var, _render
 
 _GREEK = {"λ": "\\", "ε": "eps", "Φ": "Phi", "Ψ": "Psi", "ρ": "rho"}
 
@@ -50,62 +53,33 @@ class TermSyntaxError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # IDENT LAMBDA DOT LPAREN RPAREN LBRACK RBRACK LANGLE RANGLE COMMA QUOTE EOF
-    text: str
-    line: int
-    col: int
+# Optional whitespace, then an identifier or any other single character.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\S))")
+_PUNCT = frozenset("()[]<>,.'\\")
 
 
-_PUNCT = {
-    "(": "LPAREN", ")": "RPAREN",
-    "[": "LBRACK", "]": "RBRACK",
-    "<": "LANGLE", ">": "RANGLE",
-    ",": "COMMA", ".": "DOT", "'": "QUOTE", "\\": "LAMBDA",
-}
+def _fail(text: str, msg: str, off: int):
+    raise TermSyntaxError(msg, text.count("\n", 0, off) + 1,
+                          off - text.rfind("\n", 0, off))
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _GREEK:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, then ("", "", len(text)) for the end.
+    kind is "id" for an identifier, "\\" for a lambda, else the character."""
+    toks = []
+    for m in _TOKEN_RE.finditer(text):
+        word, ch = m.groups()
+        if word:
+            toks.append(("\\" if word == "lambda" else "id", word, m.start(1)))
+        elif ch in _GREEK:
             alias = _GREEK[ch]
-            if alias == "\\":
-                toks.append(_Tok("LAMBDA", ch, line, col))
-            else:
-                toks.append(_Tok("IDENT", alias, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            kind = "LAMBDA" if word == "lambda" else "IDENT"
-            toks.append(_Tok(kind, word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise TermSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
+            toks.append(("\\", ch, m.start(2)) if alias == "\\"
+                        else ("id", alias, m.start(2)))
+        elif ch in _PUNCT:
+            toks.append((ch, ch, m.start(2)))
+        else:
+            _fail(text, f"unexpected character {ch!r}", m.start(2))
+    toks.append(("", "", len(text)))
     return toks
 
 
@@ -120,118 +94,99 @@ def _classify(word: str) -> Term:
     return Var(word)
 
 
-# token kinds that can begin a primary, with and without sugar
-_PRIMARY_START = {"IDENT", "LPAREN", "LBRACK", "LANGLE", "QUOTE"}
-_PRIMARY_START_PLAIN = {"IDENT", "LPAREN"}
+def _describe(tok: tuple[str, str, int]) -> str:
+    return repr(tok[1]) if tok[0] else "end of input"
 
 
-class _Parser:
-    def __init__(self, toks: list[_Tok], cfg: SyntaxConfig):
-        self.toks = toks
-        self.pos = 0
-        self.cfg = cfg
+def _unexpected(text: str, tok: tuple[str, str, int], what: str):
+    _fail(text, f"unexpected token {_describe(tok)}{what}", tok[2])
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def fail(self, msg: str, tok: _Tok):
-        raise TermSyntaxError(msg, tok.line, tok.col)
-
-    def describe(self, tok: _Tok) -> str:
-        return "end of input" if tok.kind == "EOF" else repr(tok.text)
-
-    def expect(self, kind: str, what: str) -> _Tok:
-        t = self.next()
-        if t.kind != kind:
-            self.fail(f"unexpected token {self.describe(t)}, expected {what}", t)
-        return t
-
-    def parse_expr(self) -> Term:
-        if self.peek().kind == "LAMBDA":
-            return self.parse_lambda()
-        return self.parse_comp()
-
-    def parse_lambda(self) -> Term:
-        self.next()
-        binders: list[str] = []
-        while self.peek().kind == "IDENT":
-            t = self.next()
-            if not isinstance(_classify(t.text), Var):
-                self.fail(f"binder must be a variable, got {t.text!r}", t)
-            binders.append(t.text)
-        if not binders:
-            self.fail(f"unexpected token {self.describe(self.peek())}, expected binder",
-                      self.peek())
-        self.expect("DOT", "'.'")
-        body = self.parse_expr()
-        for b in reversed(binders):
-            body = Lam(b, body)
-        return body
-
-    def parse_comp(self) -> Term:
-        t = self.parse_app()
-        if self.cfg.expand_sugar and self.peek().kind == "DOT":
-            self.next()
-            rhs = self.parse_expr()
-            return App(App(Atom("Comp"), t), rhs)
-        return t
-
-    def parse_app(self) -> Term:
-        starts = _PRIMARY_START if self.cfg.expand_sugar else _PRIMARY_START_PLAIN
-        t = self.parse_primary()
-        while self.peek().kind in starts:
-            t = App(t, self.parse_primary())
-        return t
-
-    def parse_primary(self) -> Term:
-        tok = self.peek()
-        sugar = self.cfg.expand_sugar
-        match tok.kind:
-            case "IDENT":
-                self.next()
-                return _classify(tok.text)
-            case "LPAREN":
-                self.next()
-                t = self.parse_expr()
-                self.expect("RPAREN", "')'")
-                return t
-            case "LBRACK" if sugar:
-                self.next()
-                a = self.parse_expr()
-                self.expect("COMMA", "','")
-                b = self.parse_expr()
-                self.expect("RBRACK", "']'")
-                return App(App(Atom("D"), a), b)
-            case "LANGLE" if sugar:
-                self.next()
-                f = self.parse_expr()
-                self.expect("COMMA", "','")
-                g = self.parse_expr()
-                self.expect("RANGLE", "'>'")
-                return App(App(Atom("Fork"), f), g)
-            case "QUOTE" if sugar:
-                self.next()
-                return App(Atom("K"), self.parse_primary())
-            case _:
-                self.fail(f"expected term, found {self.describe(tok)}", tok)
+# Token kinds that open a primary, and that begin one, with and without sugar.
+_OPENS, _OPENS_PLAIN = frozenset("([<"), frozenset("(")
+_STARTS, _STARTS_PLAIN = _OPENS | {"id", "'"}, _OPENS_PLAIN | {"id"}
+_CLOSE = {"(": ")", "[": "]", "<": ">"}
 
 
 def parse(text: str, cfg: SyntaxConfig = DEFAULT_SYNTAX) -> Term:
-    p = _Parser(_tokenize(text), cfg)
-    try:
-        t = p.parse_expr()
-    except RecursionError:
-        tok = p.peek()
-        raise TermSyntaxError("term nested too deeply", tok.line, tok.col) from None
-    tok = p.peek()
-    if tok.kind != "EOF":
-        p.fail(f"unexpected token {p.describe(tok)} after term", tok)
-    return t
+    """Read one term.  The parser keeps what it has open on a list, not on
+    Python's stack, so terms of any depth read back: format_term's output
+    for every term whose names avoid keywords and atoms."""
+    toks = _tokenize(text)
+    sugar = cfg.expand_sugar
+    opens = _OPENS if sugar else _OPENS_PLAIN
+    starts = _STARTS if sugar else _STARTS_PLAIN
+    # Open contexts, innermost last: (opener, the application read before
+    # it) for ( [ < and a quote, then ("[", app, first part) after the comma;
+    # ("\\", binders) for a lambda; (".", left side) for a composition.
+    stack: list[tuple] = []
+    cur = None  # the application read so far in the innermost context
+    i = 0
+    while True:
+        kind, word, off = toks[i]
+        i += 1
+        if kind == "\\":  # an expression starts with a lambda
+            binders = []
+            while toks[i][0] == "id":
+                _, word, off = toks[i]
+                if type(_classify(word)) is not Var:
+                    _fail(text, f"binder must be a variable, got {word!r}", off)
+                binders.append(word)
+                i += 1
+            if not binders:
+                _unexpected(text, toks[i], ", expected binder")
+            if toks[i][0] != ".":
+                _unexpected(text, toks[i], ", expected '.'")
+            i += 1
+            stack.append(("\\", binders))
+            continue
+        while sugar and kind == "'":
+            stack.append(("'", cur))
+            cur = None
+            kind, word, off = toks[i]
+            i += 1
+        if kind in opens:
+            stack.append((kind, cur))
+            cur = None
+            continue
+        if kind != "id":
+            _fail(text, f"expected term, found {_describe(toks[i - 1])}", off)
+        t = _classify(word)
+        while True:  # t is a whole primary
+            while stack and stack[-1][0] == "'":
+                t = App(Atom("K"), t)
+                cur = stack.pop()[1]
+            cur = t if cur is None else App(cur, t)
+            kind = toks[i][0]
+            if kind in starts:
+                break
+            t, cur = cur, None  # t is a whole application
+            if sugar and kind == ".":
+                i += 1
+                stack.append((".", t))
+                break
+            while stack and stack[-1][0] in ("\\", "."):  # t ends them
+                ctx, saved = stack.pop()
+                if ctx == ".":
+                    t = App(App(Atom("Comp"), saved), t)
+                else:
+                    for b in reversed(saved):
+                        t = Lam(b, t)
+            if not stack:
+                if kind:
+                    _unexpected(text, toks[i], " after term")
+                return t
+            ctx, cur, *first = stack.pop()
+            want = "," if ctx != "(" and not first else _CLOSE[ctx]
+            if kind != want:
+                _unexpected(text, toks[i], f", expected {want!r}")
+            i += 1
+            if want == ",":
+                stack.append((ctx, cur, t))
+                cur = None
+                break
+            if first:
+                t = App(App(Atom("D" if ctx == "[" else "Fork"), first[0]), t)
 
 
 # ---------------------------------------------------------------------------
@@ -281,40 +236,6 @@ def format_term(t: Term) -> str:
 # ---------------------------------------------------------------------------
 # the raw tree: JSON and s-expression forms
 
-def to_json(t: Term) -> dict:
-    """Nested dicts, built without recursion."""
-    return fold(t, lambda n: {"atom" if type(n) is Atom else "var": n.name},
-                lambda n, f, a: {"app": [f, a]},
-                lambda n, b: {"lam": [n.binder, b]})
-
-
-# Stack markers: build an App (a Lam) from what the walk has built last.
-_APP_END, _LAM_END = object(), object()
-
-
-def from_json(obj: dict) -> Term:
-    """The inverse of to_json, built without recursion."""
-    done: list[Term] = []
-    stack: list = [obj]
-    while stack:
-        match o := stack.pop():
-            case _ if o is _APP_END:
-                done[-2:] = [App(*done[-2:])]
-            case _ if o is _LAM_END:
-                done[-1] = Lam(stack.pop(), done[-1])
-            case {"atom": str(n)}:
-                done.append(Atom(n))
-            case {"var": str(n)}:
-                done.append(Var(n))
-            case {"app": [f, a]}:
-                stack += (_APP_END, a, f)
-            case {"lam": [str(b), body]}:
-                stack += (b, _LAM_END, body)
-            case _:
-                raise ValueError(f"not a term object: {reprlib.repr(o)}")
-    return done[0]
-
-
 # _render's spelling of a leaf, an App (open, sep, close) and a Lam.
 _SEXPR = ({Atom: "(atom {})", Var: "(var {})"}, "(app ", " ", ")",
           "(lam {} ", ")")
@@ -327,5 +248,6 @@ def sexpr(t: Term) -> str:
 
 
 def json_text(t: Term) -> str:
-    """json.dumps(to_json(t)), without the recursion json.dumps does."""
+    """The JSON form: a leaf is {"atom": name} or {"var": name}, an App
+    {"app": [fun, arg]} and a Lam {"lam": [binder, body]}, at any depth."""
     return _render(t, _JSON, json.dumps)

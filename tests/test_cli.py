@@ -75,13 +75,22 @@ class TestParseCommand:
 
 
     @pytest.mark.parametrize("cmd", ["parse", "reduce"])
-    def test_deep_nesting_is_a_syntax_error(self, capsys, cmd):
+    def test_deep_nesting_reads_back(self, capsys, cmd):
         n = 10_000
         code, out, err = run(capsys, cmd, "(" * n + "x" + ")" * n)
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.startswith("clsh: term nested too deeply at line 1, column ")
-        assert "Traceback" not in err
+        assert code == EXIT_OK
+        assert out == ("(var x)\n" if cmd == "parse" else "x\n")
+        assert err == ""
+
+    def test_reads_back_reduce_output(self, capsys):
+        # exp 2 8 normalizes to s applied 256 times, 255 parentheses deep
+        two = r"(\f x. f (f x))"
+        eight = r"(\f x. " + "f (" * 7 + "f x" + ")" * 7 + ")"
+        code, nf, _ = run(capsys, "reduce", rf"(\m n. n m) {two} {eight} s z")
+        assert (code, nf) == (EXIT_OK, "s (" * 255 + "s z" + ")" * 255 + "\n")
+        code, out, err = run(capsys, "parse", nf)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "(app (var s) " * 256 + "(var z)" + ")" * 256 + "\n"
 
 
 class TestCompileCommand:
@@ -120,6 +129,14 @@ class TestCompileCommand:
     def test_nested_binders(self, capsys, n, size):
         code, out, err = run(capsys, "compile", _binders(n))
         assert (code, len(out.encode()), err) == (EXIT_OK, size, "")
+
+    def test_sibling_abstractions_share_the_size_guard(self, capsys):
+        # each copy compiles to about 531k nodes, under the guard alone;
+        # the four side by side would build about 2.1M
+        src = " ".join(f"({_binders(12)})" for _ in range(4))
+        assert len(src) == 179
+        assert run(capsys, "compile", src) == (
+            EXIT_BUDGET, "", "size budget exhausted (1000000 nodes)\n")
 
     @pytest.mark.parametrize("cmd, n", [
         ("compile", 20), ("compile", 5000), ("reduce", 20),

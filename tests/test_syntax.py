@@ -10,15 +10,13 @@ from clsh.syntax import (
     SyntaxConfig,
     TermSyntaxError,
     format_term,
-    from_json,
     json_text,
     parse,
-    to_json,
 )
 from clsh.terms import App, Atom, Lam, Var, alpha_eq
 
 from conftest import DEEP, lam_terms, lambda_run, left_spine, right_nested
-from spec_printer import reference_format_term
+from spec_printer import from_json, reference_format_term, to_json
 
 PLAIN = SyntaxConfig(expand_sugar=False)
 
@@ -138,6 +136,41 @@ class TestErrors:
         with pytest.raises(TermSyntaxError):
             parse("x ? y")
 
+    # One input per kind of error, with its exact message and position.
+    @pytest.mark.parametrize("text, cfg, msg, line, col", [
+        ("x ? y", DEFAULT_SYNTAX, "unexpected character '?'", 1, 3),
+        ("x\u3000?", DEFAULT_SYNTAX, "unexpected character '?'", 1, 3),
+        ("( )", DEFAULT_SYNTAX, "expected term, found ')'", 1, 3),
+        ("'\\x. x", DEFAULT_SYNTAX, "expected term, found '\\\\'", 1, 2),
+        ("[x, y]", PLAIN, "expected term, found '['", 1, 1),
+        ("'x", PLAIN, "expected term, found \"'\"", 1, 1),
+        ("", DEFAULT_SYNTAX, "expected term, found end of input", 1, 1),
+        ("f (", DEFAULT_SYNTAX, "expected term, found end of input", 1, 4),
+        ("K (S x", DEFAULT_SYNTAX,
+         "unexpected token end of input, expected ')'", 1, 7),
+        ("(x, y)", DEFAULT_SYNTAX, "unexpected token ',', expected ')'", 1, 3),
+        ("[x y]", DEFAULT_SYNTAX, "unexpected token ']', expected ','", 1, 5),
+        ("[x, y>", DEFAULT_SYNTAX, "unexpected token '>', expected ']'", 1, 6),
+        ("<f, g]", DEFAULT_SYNTAX, "unexpected token ']', expected '>'", 1, 6),
+        ("\\. x", DEFAULT_SYNTAX, "unexpected token '.', expected binder", 1, 2),
+        ("\\x y z", DEFAULT_SYNTAX,
+         "unexpected token end of input, expected '.'", 1, 7),
+        ("\\x K. x", DEFAULT_SYNTAX, "binder must be a variable, got 'K'", 1, 4),
+        ("x )", DEFAULT_SYNTAX, "unexpected token ')' after term", 1, 3),
+        ("f . g", PLAIN, "unexpected token '.' after term", 1, 3),
+        ("f x\n  )", DEFAULT_SYNTAX, "unexpected token ')' after term", 2, 3),
+        ("f\r\n<g, h\n\n>)", DEFAULT_SYNTAX,
+         "unexpected token ')' after term", 4, 2),
+        ("(f\n\tx\n", DEFAULT_SYNTAX,
+         "unexpected token end of input, expected ')'", 3, 1),
+        ("λ\n ε. x", DEFAULT_SYNTAX, "binder must be a variable, got 'eps'", 2, 2),
+    ])
+    def test_message_and_position(self, text, cfg, msg, line, col):
+        with pytest.raises(TermSyntaxError) as e:
+            parse(text, cfg)
+        assert (e.value.msg, e.value.line, e.value.col) == (msg, line, col)
+        assert str(e.value) == f"{msg} at line {line}, column {col}"
+
 
 class TestPrinting:
     def test_application_contexts(self):
@@ -191,9 +224,7 @@ class TestJson:
             to_json(App(Atom("K"), "x"))
 
 
-# Expected strings are built without clsh.  Terms are compared through their
-# printed form, which determines the tree for these names, since == on terms
-# still recurses.
+# Expected strings are built without clsh.
 class TestDeepTerms:
     def test_right_nested(self):
         want = "s (" * (DEEP - 1) + "s z" + ")" * (DEEP - 1)
@@ -205,6 +236,11 @@ class TestDeepTerms:
     def test_lambda_run(self):
         want = "\\" + " ".join(["x"] * DEEP) + ".x"
         assert format_term(lambda_run(DEEP)) == want
+
+    @pytest.mark.parametrize("build", [right_nested, left_spine, lambda_run])
+    def test_round_trip(self, build):
+        t = build(DEEP)
+        assert parse(format_term(t)) == t
 
     @pytest.mark.parametrize("build", [right_nested, left_spine, lambda_run])
     def test_json_round_trip(self, build):
