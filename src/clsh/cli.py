@@ -36,7 +36,6 @@ from .rewrite import (
 )
 from .syntax import (SyntaxConfig, TermSyntaxError, format_term, json_text,
                      parse, sexpr)
-from .terms import pos_to_str
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -129,9 +128,8 @@ def _cmd_reduce(args, cfg: SyntaxConfig) -> int:
             print(json.dumps(tr.to_json()))
         else:
             print(format_term(tr.initial))
-            for i, s in enumerate(tr.steps, start=1):
-                print(f"  {i:>4}  {s.rule} @ {pos_to_str(s.pos)}  ->  "
-                      f"{format_term(s.result)}")
+            for i, (rule, pos, text) in enumerate(tr.step_texts(), start=1):
+                print(f"  {i:>4}  {rule} @ {pos}  ->  {text}")
             print(format_term(tr.final))
         fired, status = tr.nsteps, tr.status
     else:

@@ -11,12 +11,13 @@ rewritten, a Lam node is simply a value.  Two strategies are provided:
 Each strategy runs on a machine that never rescans from the root; both, and
 lam.py's beta machine, move on one frame zipper (see "the zipper machines").
 normalize() records the machine's fires as a Trace: at each fire it keeps
-the rule's name, a copy of the frame stack and the contractum, and the
-Trace builds each step's position and whole term from those only when its
-steps are first read.  normalize_fast() runs the same machine without
-recording.  The rescanning reducer that defines both strategies lives in
-the test suite, which checks on random terms that the machines fire exactly
-its steps (rule, position, result).
+the rule's name, a copy of the frame stack and the contractum.  The CLI
+prints each step's text from those moves (Trace.step_texts); Trace.steps
+builds each step's whole term, on first read, for library users and tests.
+normalize_fast() runs the same machine without recording.  The
+rescanning reducer that defines both strategies lives in the test suite,
+which checks on random terms that the machines fire exactly its steps
+(rule, position, result).
 
 The machines do not interpret patterns.  Each rule compiles, on its first
 use, into a generated function (RewriteRule.fire) that tests the left
@@ -358,10 +359,9 @@ _Move = tuple[str, tuple[tuple[str, object], ...], Term]
 @dataclass(frozen=True)
 class Trace:
     """A normalization as normalize() records it.  moves holds one
-    (rule name, frames, contractum) per fire; steps turns each into a
-    TraceStep, zipping the contractum into its frames for the whole term,
-    once, on first read, so a caller that reads only nsteps, status and
-    final never pays for it."""
+    (rule name, frames, contractum) per fire; step_texts() prints them for
+    `clsh reduce --trace`/`--json`, building no term.  steps turns each into
+    a TraceStep, for library users and tests, once, on first read."""
     initial: Term
     moves: tuple[_Move, ...] = field(repr=False)
     status: str  # NORMAL_FORM or BUDGET_EXHAUSTED
@@ -376,10 +376,55 @@ class Trace:
         return tuple([TraceStep(name, _path(frames), "->", _zip(frames, focus))
                       for name, frames, focus in self.moves])
 
+    def step_texts(self) -> Iterator[tuple[str, str, str]]:
+        """(rule name, position as pos_to_str spells it, text of the whole
+        term) for each move, printed from the moves without building any
+        term: a step's text is the last step's with the part under the
+        frames that changed printed again."""
+        # The memo is keyed only with frame siblings and contracta, which
+        # self.moves holds while this runs, so no key can be the id of a
+        # freed node that a new node reuses and print the wrong text.
+        memo: dict[int, str] = {}
+
+        def text(t: Term) -> str:
+            s = memo.get(id(t))
+            if s is None:
+                s = memo[id(t)] = format_term(t, memo)
+            return s
+
+        def piece(kind: str, sib: Term, below: type) -> tuple[str, str]:
+            """The text left and right of the node under one frame, whose
+            type is below; weak reduction leaves no BODY frame."""
+            s = text(sib)
+            if kind is FUN:
+                s = f" ({s})" if type(sib) in (App, Lam) else " " + s
+                return ("(", ")" + s) if below is Lam else ("", s)
+            s = f"({s}) " if type(sib) is Lam else s + " "
+            return (s + "(", ")") if below in (App, Lam) else (s, "")
+
+        left: list[str] = []  # one piece per frame above the fired node,
+        right: list[str] = []  # each over an App
+        last: tuple = ()
+        for name, frames, focus in self.moves:
+            k, n = 0, min(len(left), len(frames) - 1)
+            while (k < n and frames[k][1] is last[k][1]
+                   and frames[k][0] is last[k][0]):
+                k += 1
+            del left[k:], right[k:]
+            for kind, sib in frames[k:-1]:
+                lt, rt = piece(kind, sib, App)
+                left.append(lt)
+                right.append(rt)
+            lt, rt = piece(*frames[-1], type(focus)) if frames else ("", "")
+            yield name, pos_to_str(_path(frames)), "".join(
+                [*left, lt, text(focus), rt, *reversed(right)])
+            last = frames
+
     def to_json(self) -> dict:
         return {
             "initial": format_term(self.initial),
-            "steps": [s.to_json() for s in self.steps],
+            "steps": [{"rule": rule, "pos": pos, "dir": "->", "result": text}
+                      for rule, pos, text in self.step_texts()],
             "status": self.status,
             "final": format_term(self.final),
         }

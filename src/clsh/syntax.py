@@ -192,26 +192,34 @@ def parse(text: str, cfg: SyntaxConfig = DEFAULT_SYNTAX) -> Term:
 # ---------------------------------------------------------------------------
 # printing
 
-def format_term(t: Term) -> str:
+def format_term(t: Term, memo: dict[int, str] | None = None) -> str:
     """Render with minimal parentheses: App and Lam arguments and a Lam in
     function position are wrapped; a run of Lams prints as \\x y.body, and
-    parse(format_term(t)) is t again if names avoid keywords and atoms."""
+    parse(format_term(t)) is t again if names avoid keywords and atoms.
+
+    memo maps id(node) to format_term(node) for nodes the caller keeps
+    alive; such a node's text is copied from it, not walked again."""
     out: list[str] = []
     emit = out.append
     stack: list = [t]
     push, pop = stack.append, stack.pop
     while stack:
         node = pop()
-        if type(node) is str:
+        tn = type(node)
+        if tn is str:
             emit(node)
             continue
-        if type(node) is Lam:
+        if memo is not None and id(node) in memo:
+            emit(memo[id(node)])
+            continue
+        if tn is Lam:  # the binder run, then its body on the next turn
             binders = []
             while type(node) is Lam:
                 binders.append(node.binder)
                 node = node.body
             emit("\\" + " ".join(binders) + ".")
-        tn = type(node)
+            push(node)
+            continue
         while tn is App:
             a = node.arg
             ta = type(a)
@@ -224,12 +232,16 @@ def format_term(t: Term) -> str:
                 push(" ")
             node = node.fun
             tn = type(node)
-        if tn is Lam:  # a Lam head: wrapped, and printed on the next turn
-            push(")")
-            push(node)
-            emit("(")
+            if memo is not None and tn is App and id(node) in memo:
+                emit(memo[id(node)])
+                break
         else:
-            emit(node.name)
+            if tn is Lam:  # a Lam head: wrapped, and printed on the next turn
+                push(")")
+                push(node)
+                emit("(")
+            else:
+                emit(node.name)
     return "".join(out)
 
 

@@ -1,9 +1,11 @@
 """Command line behavior: output shapes and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -295,6 +297,37 @@ class TestReduceCommand:
         code, out, _ = run(capsys, "reduce", "--strategy", "ri", "K a (I b)")
         assert code == EXIT_OK
         assert out.strip() == "a"
+
+
+def _numeral(n):
+    return r"(\f x. " + "f (" * n + "x" + ")" * n + ")"
+
+
+class TestLongTraces:
+    """`clsh reduce --trace`/`--json` of mul 20 20 (5908 lo steps, 1158 ri
+    steps), pinned by length and sha256 to what printing each step's whole
+    term gave."""
+
+    MUL_20_20 = rf"(\m n f. m (n f)) {_numeral(20)} {_numeral(20)} s z"
+
+    @pytest.mark.parametrize("strategy, flag, size, digest", [
+        ("lo", "--trace", 33_457_982,
+         "632c50862eb5deae75ffc5269c0ef05537fb21446c2d9d56e7b749acf9e89d15"),
+        ("lo", "--json", 33_658_917,
+         "51f8b6d95c98ed2b51e5b9b76891448102d72cc39405b73621d8bc5ca2336908"),
+        ("ri", "--trace", 9_754_894,
+         "a084140959a59d4bd22638ac12ff2a0212efe6fece98c2b40a379a68ac4e55a7"),
+        ("ri", "--json", 9_794_329,
+         "a8a8514767820abc93e5b8628be3fb24b50a25d849d6a3bcb751dc18614fd94b"),
+    ], ids=["lo-trace", "lo-json", "ri-trace", "ri-json"])
+    def test_mul_20_20(self, capsys, strategy, flag, size, digest):
+        start = time.perf_counter()
+        code = main(["reduce", flag, "--strategy", strategy, self.MUL_20_20])
+        seconds = time.perf_counter() - start
+        out = capsys.readouterr().out.encode()
+        assert code == EXIT_OK
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+        assert seconds < 20
 
 
 class TestCheckCommand:

@@ -4,6 +4,7 @@ spec reducer."""
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -31,8 +32,8 @@ from clsh.rewrite import (
 )
 from clsh.disassemble import compile_term
 from clsh.syntax import format_term, parse
-from clsh.terms import (App, Atom, Var, app, positions, replace_at, subterm_at,
-                        term_size)
+from clsh.terms import (App, Atom, Var, app, pos_to_str, positions, replace_at,
+                        subterm_at, term_size)
 
 from conftest import cl_terms
 from spec_engines import normalize as spec_normalize, reduce_step
@@ -558,6 +559,66 @@ class TestMachineAgreesWithReference:
         ri = normalize(t, CL_BASE, strategy="ri")
         assert [s.pos for s in ri.steps] == [
             ("arg",), ("fun", "arg", "arg"), ("fun", "arg"), ()]
+
+
+# Leaves of redex-rich terms: every head of FULL, a few variables, and
+# lambdas, which weak reduction treats as values.
+_LEAVES = ([Atom(r.head) for r in FULL] + [Var(v) for v in "abf"]
+           + [parse(src) for src in (r"\x. x", r"\x y. I x", r"\f. f a")])
+
+
+def _redex_rich(rng: random.Random, leaves: int):
+    """About `leaves` leaves, mostly in spines of a rule's head and one
+    argument fewer, as many as, or one more than the rule takes."""
+    if leaves <= 1 or rng.random() < 0.2:
+        return rng.choice(_LEAVES)
+    rule = rng.choice(FULL.rules)
+    n = max(1, rule.arity + rng.randint(-1, 1))
+    return app(Atom(rule.head),
+               *[_redex_rich(rng, (leaves - 1) // n) for _ in range(n)])
+
+
+class TestStepTexts:
+    """Trace.step_texts prints each step from the moves alone; every text
+    must be what format_term prints of the step's whole term."""
+
+    @staticmethod
+    def _whole(tr):
+        return [(s.rule, pos_to_str(s.pos), format_term(s.result))
+                for s in tr.steps]
+
+    @pytest.mark.parametrize("src, strategy, texts", [
+        pytest.param(r"K (\x. x) a b", "lo", [r"(\x.x) b"],
+                     id="lam-under-fun"),
+        pytest.param(r"f (K (\x. x) a)", "lo", [r"f (\x.x)"],
+                     id="lam-under-arg"),
+        pytest.param("f (I a)", "ri", ["f a"], id="leaf-under-arg"),
+        pytest.param("S K K (f a)", "lo", ["K (f a) (K (f a))", "f a"],
+                     id="root"),
+        pytest.param("K (I (f a)) (I b)", "ri",
+                     ["K (I (f a)) b", "K (f a) b", "f a"], id="ri-inner"),
+    ])
+    def test_wrapping(self, src, strategy, texts):
+        tr = normalize(parse(src), FULL, strategy=strategy)
+        assert list(tr.step_texts()) == self._whole(tr)
+        assert [text for _, _, text in tr.step_texts()] == texts
+
+    @pytest.mark.parametrize("strategy", ["lo", "ri"])
+    @pytest.mark.parametrize("max_steps", [0, 1, 3, 300])
+    @pytest.mark.parametrize("max_size", [40, 1_000_000])
+    def test_random_terms(self, strategy, max_steps, max_size):
+        rng = random.Random(max_steps * 7 + max_size)
+        size_stops = 0
+        for _ in range(300):
+            t = _redex_rich(rng, rng.randint(1, 20))
+            kw = dict(max_steps=max_steps, strategy=strategy,
+                      max_size=max_size)
+            tr = normalize(t, FULL, **kw)
+            assert list(tr.step_texts()) == self._whole(tr)
+            assert tr.to_json() == spec_normalize(t, FULL, **kw).to_json()
+            size_stops += tr.nsteps < max_steps and tr.status == BUDGET_EXHAUSTED
+        if max_size == 40 and max_steps == 300:
+            assert size_stops > 0
 
 
 class TestPatternWindow:
