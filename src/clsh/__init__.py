@@ -25,7 +25,6 @@ from .terms import (
     term_size,
 )
 from .syntax import (
-    SyntaxConfig,
     TermSyntaxError,
     format_term,
     parse,

@@ -34,8 +34,8 @@ from .rewrite import (
     normalize_fast,
     parse_rules,
 )
-from .syntax import (SyntaxConfig, TermSyntaxError, format_term, json_text,
-                     parse, sexpr)
+from .syntax import TermSyntaxError, format_term, json_text, parse, sexpr
+from .terms import term_size
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -106,37 +106,49 @@ def _collect_rules(specs) -> RuleSet:
     return RuleSet(tuple(rules))
 
 
-def _cmd_parse(args, cfg: SyntaxConfig) -> int:
-    t = parse(args.term, cfg)
+def _cmd_parse(args, sugar: bool) -> int:
+    t = parse(args.term, sugar)
     print(json_text(t) if args.json else sexpr(t))
     return EXIT_OK
 
 
-def _cmd_compile(args, cfg: SyntaxConfig) -> int:
-    t = compile_term(parse(args.term, cfg), use_eta=args.eta)
+def _cmd_compile(args, sugar: bool) -> int:
+    t = compile_term(parse(args.term, sugar), use_eta=args.eta)
     print(json_text(t) if args.json else format_term(t))
     return EXIT_OK
 
 
-def _cmd_reduce(args, cfg: SyntaxConfig) -> int:
-    t = compile_term(parse(args.term, cfg))
+# How `reduce --trace` and `reduce --json` print a trace: how to quote the
+# rule and the terms; the head, from the initial term; each step, from its
+# number, rule, position, text and separator; the tail, from the status and
+# the final term.  A position and a status are ASCII [a-z._], so JSON needs
+# no escape for them.
+_TEXT = (str, "{0}\n", "  {0:>4}  {1} @ {2}  ->  {3}\n", "{1}\n")
+_JSON = (json.dumps, '{{"initial": {0}, "steps": [',
+         '{4}{{"rule": {1}, "pos": "{2}", "dir": "->", "result": {3}}}',
+         '], "status": "{0}", "final": {1}}}\n')
+
+
+def _cmd_reduce(args, sugar: bool) -> int:
+    t = compile_term(parse(args.term, sugar))
     rules = _collect_rules(args.rules)
     steps = _default_steps(args)
     if args.trace or args.json:
         tr = normalize(t, rules, steps, args.strategy)
-        if args.json:
-            print(json.dumps(tr.to_json()))
-        else:
-            print(format_term(tr.initial))
-            for i, (rule, pos, text) in enumerate(tr.step_texts(), start=1):
-                print(f"  {i:>4}  {rule} @ {pos}  ->  {text}")
-            print(format_term(tr.final))
-        fired, status = tr.nsteps, tr.status
+        final, status = tr.final, tr.status
+        quote, head, step, tail = _JSON if args.json else _TEXT
+        write = sys.stdout.write
+        write(head.format(quote(format_term(tr.initial))))
+        sep = ""
+        for i, (rule, pos, text) in enumerate(tr.step_texts(), start=1):
+            write(step.format(i, quote(rule), pos, quote(text), sep))
+            sep = ", "
+        write(tail.format(status, quote(format_term(final))))
     else:
-        final, fired, status = normalize_fast(t, rules, steps, args.strategy)
+        final, _, status = normalize_fast(t, rules, steps, args.strategy)
         print(format_term(final))
     if status == BUDGET_EXHAUSTED:
-        if fired < steps:  # the machines stop early only at the size guard
+        if term_size(final) > DEFAULT_MAX_SIZE:  # the size guard stopped it
             raise TermTooLargeError
         print(f"step budget exhausted ({steps})", file=sys.stderr)
         return EXIT_BUDGET
@@ -173,15 +185,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    cfg = SyntaxConfig(expand_sugar=not getattr(args, "no_sugar", False))
+    sugar = not getattr(args, "no_sugar", False)
     try:
         match args.cmd:
             case "parse":
-                return _cmd_parse(args, cfg)
+                return _cmd_parse(args, sugar)
             case "compile":
-                return _cmd_compile(args, cfg)
+                return _cmd_compile(args, sugar)
             case "reduce":
-                return _cmd_reduce(args, cfg)
+                return _cmd_reduce(args, sugar)
             case "check":
                 return _cmd_check(args)
     except TermTooLargeError:  # from the compiler or the machines

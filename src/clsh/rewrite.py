@@ -11,8 +11,9 @@ rewritten, a Lam node is simply a value.  Two strategies are provided:
 Each strategy runs on a machine that never rescans from the root; both, and
 lam.py's beta machine, move on one frame zipper (see "the zipper machines").
 normalize() records the machine's fires as a Trace: at each fire it keeps
-the rule's name, a copy of the frame stack and the contractum.  The CLI
-prints each step's text from those moves (Trace.step_texts); Trace.steps
+the rule's name, a copy of the frame stack and the contractum.
+Trace.step_texts yields each step's text from those moves, and `clsh
+reduce --trace` and `--json` write each step as it is yielded; Trace.steps
 builds each step's whole term, on first read, for library users and tests.
 normalize_fast() runs the same machine without recording.  The
 rescanning reducer that defines both strategies lives in the test suite,
@@ -419,15 +420,6 @@ class Trace:
             yield name, pos_to_str(_path(frames)), "".join(
                 [*left, lt, text(focus), rt, *reversed(right)])
             last = frames
-
-    def to_json(self) -> dict:
-        return {
-            "initial": format_term(self.initial),
-            "steps": [{"rule": rule, "pos": pos, "dir": "->", "result": text}
-                      for rule, pos, text in self.step_texts()],
-            "status": self.status,
-            "final": format_term(self.final),
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from .terms import ATOM_CATALOG, App, Atom, Lam, Term, Var, _render
 
@@ -34,15 +33,6 @@ _GREEK = {"λ": "\\", "ε": "eps", "Φ": "Phi", "Ψ": "Psi", "ρ": "rho"}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _SINGLE_UPPER_RE = re.compile(r"[A-Z]\Z")
-
-
-@dataclass(frozen=True)
-class SyntaxConfig:
-    """Reading options: expand_sugar gates pair/fork/quote/dot sugar."""
-    expand_sugar: bool = True
-
-
-DEFAULT_SYNTAX = SyntaxConfig()
 
 
 class TermSyntaxError(ValueError):
@@ -108,12 +98,12 @@ _STARTS, _STARTS_PLAIN = _OPENS | {"id", "'"}, _OPENS_PLAIN | {"id"}
 _CLOSE = {"(": ")", "[": "]", "<": ">"}
 
 
-def parse(text: str, cfg: SyntaxConfig = DEFAULT_SYNTAX) -> Term:
-    """Read one term.  The parser keeps what it has open on a list, not on
+def parse(text: str, sugar: bool = True) -> Term:
+    """Read one term; sugar=False turns off pair, fork, quote and dot
+    notation.  The parser keeps what it has open on a list, not on
     Python's stack, so terms of any depth read back: format_term's output
     for every term whose names avoid keywords and atoms."""
     toks = _tokenize(text)
-    sugar = cfg.expand_sugar
     opens = _OPENS if sugar else _OPENS_PLAIN
     starts = _STARTS if sugar else _STARTS_PLAIN
     # Open contexts, innermost last: (opener, the application read before

@@ -15,7 +15,8 @@ so all of them work at any depth.  The machines build a node for every
 contraction and every rebuilt ancestor, so __init__ stores the fields
 through the slot descriptors, bound once at import: that costs about 60%
 of the object.__setattr__ per field of a frozen dataclass.  __init__
-validates nothing; a node with a child that is not a term has no size.
+checks no types, but reading a child's size makes an App or Lam with a
+child that is not a term raise AttributeError at construction.
 """
 
 from __future__ import annotations
@@ -64,19 +65,15 @@ class _Node:
                 if a.binder != b.binder:
                     return False
                 stack += (a.body, b.body)
-            elif ty is Atom or ty is Var:
-                if a.name != b.name:
-                    return False
-            elif not a == b:  # a malformed node's child that is not a term
+            elif a.name != b.name:  # an Atom or a Var
                 return False
         return True
 
     def _spelling(self) -> tuple:
         """The flat preorder spelling, which equal terms share: 0 or 1 and
-        the name for an Atom or Var, 2 for an App, 3 and the binder for a
-        Lam, and 4 and the child itself for a malformed node's child that
-        is not a term.  Kinds are tagged, not named by class, whose hash
-        changes between processes."""
+        the name for an Atom or Var, 2 for an App, and 3 and the binder for
+        a Lam.  Kinds are tagged, not named by class, whose hash changes
+        between processes."""
         out: list = []
         stack = [self]
         while stack:
@@ -88,12 +85,8 @@ class _Node:
             elif ty is Lam:
                 out += (3, n.binder)
                 stack.append(n.body)
-            elif ty is Atom:
-                out += (0, n.name)
-            elif ty is Var:
-                out += (1, n.name)
             else:
-                out += (4, n)
+                out += (0 if ty is Atom else 1, n.name)
         return tuple(out)
 
     def __hash__(self):
@@ -133,10 +126,7 @@ class App(_Node):
     def __init__(self, fun: Term, arg: Term):
         _set_fun(self, fun)
         _set_arg(self, arg)
-        try:
-            _set_size(self, 1 + fun._size + arg._size)
-        except AttributeError:  # a child that is not a term
-            pass
+        _set_size(self, 1 + fun._size + arg._size)
 
 
 class Lam(_Node):
@@ -145,10 +135,7 @@ class Lam(_Node):
     def __init__(self, binder: str, body: Term):
         _set_binder(self, binder)
         _set_body(self, body)
-        try:
-            _set_size(self, 1 + body._size)
-        except AttributeError:  # a body that is not a term
-            pass
+        _set_size(self, 1 + body._size)
 
 
 _set_atom_name, _set_var_name = Atom.name.__set__, Var.name.__set__
@@ -176,12 +163,8 @@ def _rebuild(spelling: tuple) -> Term:
             out.append(App(f, out.pop()))
         elif tag == 3:
             out.append(Lam(spelling[i + 1], out.pop()))
-        elif tag == 0:
-            out.append(Atom(spelling[i + 1]))
-        elif tag == 1:
-            out.append(Var(spelling[i + 1]))
         else:
-            out.append(spelling[i + 1])
+            out.append((Atom if tag == 0 else Var)(spelling[i + 1]))
     return out[0]
 
 
@@ -261,7 +244,7 @@ _REPR = ({Atom: "Atom(name={})", Var: "Var(name={})"}, "App(fun=", ", arg=",
 
 def _render(t: Term, forms: tuple, name=str) -> str:
     """t spelled in forms, name spelling each name, on an explicit stack so
-    any depth works; a node that is not a term is spelled by repr()."""
+    any depth works."""
     leaf, app_open, sep, app_close, lam_open, lam_close = forms
     marks = {_APP_SEP: sep, _APP_DONE: app_close, _LAM_DONE: lam_close}
     out: list[str] = []
@@ -275,12 +258,10 @@ def _render(t: Term, forms: tuple, name=str) -> str:
         elif ty is Lam:
             out.append(lam_open.format(name(node.binder)))
             stack += (_LAM_DONE, node.body)
-        elif ty is Atom or ty is Var:
-            out.append(leaf[ty].format(name(node.name)))
         elif ty is object:
             out.append(marks[node])
         else:
-            out.append(repr(node))
+            out.append(leaf[ty].format(name(node.name)))
     return "".join(out)
 
 

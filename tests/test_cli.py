@@ -1,11 +1,13 @@
 """Command line behavior: output shapes and exit codes."""
 
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -265,6 +267,21 @@ class TestReduceCommand:
             assert json.loads(out)["status"] == "budget_exhausted"
             assert len(json.loads(out)["steps"]) < 1000
 
+    @pytest.mark.parametrize("max_steps, err", [
+        (18, "step budget exhausted (18)\n"),
+        (19, "size budget exhausted (1000000 nodes)\n"),
+    ])
+    def test_budget_at_the_last_step(self, capsys, tmp_path, max_steps, err):
+        # W copies its argument: under ri the 19th step takes the term from
+        # 524,291 to 1,048,577 nodes, so at 19 the step budget runs out at
+        # the step that passes the size guard, and the guard is named
+        f = tmp_path / "copy.rules"
+        f.write_text("W: W x => x x\n")
+        code, _, got = run(capsys, "reduce", "--rules", str(f), "--strategy",
+                           "ri", "--max-steps", str(max_steps),
+                           "W (" * 20 + "a" + ")" * 20)
+        assert (code, got) == (EXIT_BUDGET, err)
+
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("CLSH_MAX_STEPS", "5")
         code, _, _ = run(capsys, "reduce", "S I I (S I I)")
@@ -328,6 +345,34 @@ class TestLongTraces:
         assert code == EXIT_OK
         assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
         assert seconds < 20
+
+
+class TestJsonStreams:
+    """`reduce --json` writes each step as it prints it, as `--trace` does,
+    so it holds no more than `--trace`."""
+
+    @staticmethod
+    def _peak(argv):
+        """The tracemalloc peak of main(argv), output discarded, after a
+        first run that compiles the rules and fills the caches."""
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(argv)
+            tracemalloc.start()
+            try:
+                main(argv)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("strategy", ["lo", "ri"])
+    def test_json_peak_near_trace(self, strategy):
+        # mul 1 1, the smallest product: building the whole document first
+        # peaked at 2.2 (lo) and 2.0 (ri) times --trace; S K K x and
+        # S I I (K a b) stay under 1.2 either way
+        src = rf"(\m n f. m (n f)) {_numeral(1)} {_numeral(1)} s z"
+        text, blob = (self._peak(["reduce", flag, "--strategy", strategy, src])
+                      for flag in ("--trace", "--json"))
+        assert blob <= 1.2 * text
 
 
 class TestCheckCommand:

@@ -2,21 +2,29 @@
 and step-for-step agreement between the zipper machines and the rescanning
 spec reducer."""
 
+import contextlib
+import io
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clsh
+from clsh import cli
 from clsh.rewrite import (
     BUDGET_EXHAUSTED,
     CL_BASE,
+    DEFAULT_MAX_SIZE,
+    DEFAULT_MAX_STEPS,
     DERIVED,
     FULL,
     IllFormedRuleError,
@@ -37,6 +45,28 @@ from clsh.terms import (App, Atom, Var, app, pos_to_str, positions, replace_at,
 
 from conftest import cl_terms
 from spec_engines import normalize as spec_normalize, reduce_step
+
+
+def cli_json(t, rules=FULL, max_steps=DEFAULT_MAX_STEPS, strategy="lo",
+             max_size=DEFAULT_MAX_SIZE) -> dict:
+    """What `clsh reduce --json` prints for t under FULL or CL_BASE, read
+    back.  The CLI has no size option, so a max_size below its guard
+    reaches the normalize it calls through a patch."""
+    argv = ["reduce", "--json", "--strategy", strategy,
+            "--max-steps", str(max_steps), format_term(t)]
+    if rules is CL_BASE:
+        argv[1:1] = ["--rules", "base"]
+    else:
+        assert rules is FULL
+    out = io.StringIO()
+    with (mock.patch.object(cli, "normalize",
+                            partial(normalize, max_size=max_size)),
+          contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(io.StringIO())):
+        cli.main(argv)
+    blob = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(blob) + "\n"  # json.dumps's bytes
+    return blob
 
 
 def nf(src: str, rules=FULL, strategy: str = "lo") -> str:
@@ -406,8 +436,8 @@ class TestTraces:
         assert cur == tr.final
 
     def test_trace_json_shape(self):
-        tr = normalize(parse("I x"), CL_BASE)
-        blob = tr.to_json()
+        blob = cli_json(parse("I x"), CL_BASE)
+        assert blob["initial"] == "I x"
         assert blob["status"] == "normal_form"
         assert blob["final"] == "x"
         assert blob["steps"][0]["rule"] == "I"
@@ -513,7 +543,7 @@ class TestMachineAgreesWithReference:
         # what a caller reads without the steps comes first
         assert (tr.initial, tr.nsteps, tr.status, tr.final) == (
             t, ref.nsteps, ref.status, ref.final)
-        assert tr.to_json() == ref.to_json()
+        assert cli_json(t, rules, **kw) == ref.to_json()
         assert _steps(tr) == _steps(ref)
         fast = normalize_fast(t, rules, **kw)
         assert fast == (ref.final, ref.nsteps, ref.status)
@@ -615,7 +645,9 @@ class TestStepTexts:
                       max_size=max_size)
             tr = normalize(t, FULL, **kw)
             assert list(tr.step_texts()) == self._whole(tr)
-            assert tr.to_json() == spec_normalize(t, FULL, **kw).to_json()
+            # the CLI compiles the lambdas first
+            assert cli_json(t, FULL, **kw) == spec_normalize(
+                compile_term(t), FULL, **kw).to_json()
             size_stops += tr.nsteps < max_steps and tr.status == BUDGET_EXHAUSTED
         if max_size == 40 and max_steps == 300:
             assert size_stops > 0

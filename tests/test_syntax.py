@@ -5,20 +5,14 @@ import json
 import pytest
 from hypothesis import given
 
-from clsh.syntax import (
-    DEFAULT_SYNTAX,
-    SyntaxConfig,
-    TermSyntaxError,
-    format_term,
-    json_text,
-    parse,
-)
+from clsh.syntax import TermSyntaxError, format_term, json_text, parse
 from clsh.terms import App, Atom, Lam, Var, alpha_eq
 
 from conftest import DEEP, lam_terms, lambda_run, left_spine, right_nested
 from spec_printer import from_json, reference_format_term, to_json
 
-PLAIN = SyntaxConfig(expand_sugar=False)
+# parse's keyword arguments: sugar on (the default) and off
+SUGAR, PLAIN = {}, {"sugar": False}
 
 
 def A(*names):
@@ -97,9 +91,9 @@ class TestSugar:
     def test_sugar_off(self):
         for bad in ("[x, y]", "<f, g>", "'x", "f . g"):
             with pytest.raises(TermSyntaxError):
-                parse(bad, PLAIN)
+                parse(bad, sugar=False)
         # the lambda binder dot is still fine without sugar
-        assert parse(r"\x. x", PLAIN) == Lam("x", Var("x"))
+        assert parse(r"\x. x", sugar=False) == Lam("x", Var("x"))
 
 
 class TestErrors:
@@ -138,36 +132,36 @@ class TestErrors:
 
     # One input per kind of error, with its exact message and position.
     @pytest.mark.parametrize("text, cfg, msg, line, col", [
-        ("x ? y", DEFAULT_SYNTAX, "unexpected character '?'", 1, 3),
-        ("x\u3000?", DEFAULT_SYNTAX, "unexpected character '?'", 1, 3),
-        ("( )", DEFAULT_SYNTAX, "expected term, found ')'", 1, 3),
-        ("'\\x. x", DEFAULT_SYNTAX, "expected term, found '\\\\'", 1, 2),
+        ("x ? y", SUGAR, "unexpected character '?'", 1, 3),
+        ("x\u3000?", SUGAR, "unexpected character '?'", 1, 3),
+        ("( )", SUGAR, "expected term, found ')'", 1, 3),
+        ("'\\x. x", SUGAR, "expected term, found '\\\\'", 1, 2),
         ("[x, y]", PLAIN, "expected term, found '['", 1, 1),
         ("'x", PLAIN, "expected term, found \"'\"", 1, 1),
-        ("", DEFAULT_SYNTAX, "expected term, found end of input", 1, 1),
-        ("f (", DEFAULT_SYNTAX, "expected term, found end of input", 1, 4),
-        ("K (S x", DEFAULT_SYNTAX,
+        ("", SUGAR, "expected term, found end of input", 1, 1),
+        ("f (", SUGAR, "expected term, found end of input", 1, 4),
+        ("K (S x", SUGAR,
          "unexpected token end of input, expected ')'", 1, 7),
-        ("(x, y)", DEFAULT_SYNTAX, "unexpected token ',', expected ')'", 1, 3),
-        ("[x y]", DEFAULT_SYNTAX, "unexpected token ']', expected ','", 1, 5),
-        ("[x, y>", DEFAULT_SYNTAX, "unexpected token '>', expected ']'", 1, 6),
-        ("<f, g]", DEFAULT_SYNTAX, "unexpected token ']', expected '>'", 1, 6),
-        ("\\. x", DEFAULT_SYNTAX, "unexpected token '.', expected binder", 1, 2),
-        ("\\x y z", DEFAULT_SYNTAX,
+        ("(x, y)", SUGAR, "unexpected token ',', expected ')'", 1, 3),
+        ("[x y]", SUGAR, "unexpected token ']', expected ','", 1, 5),
+        ("[x, y>", SUGAR, "unexpected token '>', expected ']'", 1, 6),
+        ("<f, g]", SUGAR, "unexpected token ']', expected '>'", 1, 6),
+        ("\\. x", SUGAR, "unexpected token '.', expected binder", 1, 2),
+        ("\\x y z", SUGAR,
          "unexpected token end of input, expected '.'", 1, 7),
-        ("\\x K. x", DEFAULT_SYNTAX, "binder must be a variable, got 'K'", 1, 4),
-        ("x )", DEFAULT_SYNTAX, "unexpected token ')' after term", 1, 3),
+        ("\\x K. x", SUGAR, "binder must be a variable, got 'K'", 1, 4),
+        ("x )", SUGAR, "unexpected token ')' after term", 1, 3),
         ("f . g", PLAIN, "unexpected token '.' after term", 1, 3),
-        ("f x\n  )", DEFAULT_SYNTAX, "unexpected token ')' after term", 2, 3),
-        ("f\r\n<g, h\n\n>)", DEFAULT_SYNTAX,
+        ("f x\n  )", SUGAR, "unexpected token ')' after term", 2, 3),
+        ("f\r\n<g, h\n\n>)", SUGAR,
          "unexpected token ')' after term", 4, 2),
-        ("(f\n\tx\n", DEFAULT_SYNTAX,
+        ("(f\n\tx\n", SUGAR,
          "unexpected token end of input, expected ')'", 3, 1),
-        ("λ\n ε. x", DEFAULT_SYNTAX, "binder must be a variable, got 'eps'", 2, 2),
+        ("λ\n ε. x", SUGAR, "binder must be a variable, got 'eps'", 2, 2),
     ])
     def test_message_and_position(self, text, cfg, msg, line, col):
         with pytest.raises(TermSyntaxError) as e:
-            parse(text, cfg)
+            parse(text, **cfg)
         assert (e.value.msg, e.value.line, e.value.col) == (msg, line, col)
         assert str(e.value) == f"{msg} at line {line}, column {col}"
 
@@ -221,7 +215,7 @@ class TestJson:
         with pytest.raises(ValueError):
             from_json({"app": [{"atom": "K"}, {"app": [{"var": "x"}]}]})
         with pytest.raises(TypeError):
-            to_json(App(Atom("K"), "x"))
+            to_json("x")
 
 
 # Expected strings are built without clsh.
