@@ -135,7 +135,7 @@ def _cmd_reduce(args, sugar: bool) -> int:
     steps = _default_steps(args)
     if args.trace or args.json:
         tr = normalize(t, rules, steps, args.strategy)
-        final, status = tr.final, tr.status
+        final, fired, status = tr.final, tr.nsteps, tr.status
         quote, head, step, tail = _JSON if args.json else _TEXT
         write = sys.stdout.write
         write(head.format(quote(format_term(tr.initial))))
@@ -145,10 +145,11 @@ def _cmd_reduce(args, sugar: bool) -> int:
             sep = ", "
         write(tail.format(status, quote(format_term(final))))
     else:
-        final, _, status = normalize_fast(t, rules, steps, args.strategy)
+        final, fired, status = normalize_fast(t, rules, steps, args.strategy)
         print(format_term(final))
     if status == BUDGET_EXHAUSTED:
-        if term_size(final) > DEFAULT_MAX_SIZE:  # the size guard stopped it
+        # the guard stops a machine after a step that passes it
+        if fired and term_size(final) > DEFAULT_MAX_SIZE:
             raise TermTooLargeError
         print(f"step budget exhausted ({steps})", file=sys.stderr)
         return EXIT_BUDGET

@@ -282,6 +282,14 @@ class TestReduceCommand:
                            "W (" * 20 + "a" + ")" * 20)
         assert (code, got) == (EXIT_BUDGET, err)
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+    def test_no_step_over_the_guard(self, capsys, flags):
+        # a term read over the size guard, at a budget of no steps: the
+        # budget stopped it, as no step fired to pass the guard
+        src = "I (f" + " a" * 500_000 + ")"
+        code, _, got = run(capsys, "reduce", *flags, "--max-steps", "0", src)
+        assert (code, got) == (EXIT_BUDGET, "step budget exhausted (0)\n")
+
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("CLSH_MAX_STEPS", "5")
         code, _, _ = run(capsys, "reduce", "S I I (S I I)")

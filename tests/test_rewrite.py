@@ -644,6 +644,7 @@ class TestStepTexts:
             kw = dict(max_steps=max_steps, strategy=strategy,
                       max_size=max_size)
             tr = normalize(t, FULL, **kw)
+            assert spec_normalize(t, FULL, **kw) == tr
             assert list(tr.step_texts()) == self._whole(tr)
             # the CLI compiles the lambdas first
             assert cli_json(t, FULL, **kw) == spec_normalize(
