@@ -66,7 +66,6 @@ from .checks import (
     load_catalog,
     run_check,
     run_checks,
-    run_core_suite,
 )
 
 __version__ = "0.1.0"

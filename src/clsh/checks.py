@@ -5,7 +5,8 @@ A catalog file holds named checks in three modes:
   extensional N   apply both sides to N fresh variables (N at most
                   DEFAULT_MAX_SIZE), normalize, compare
   instance        substitute the `let` bindings into both sides, normalize,
-                  compare
+                  compare; a binding that would take a side over
+                  DEFAULT_MAX_SIZE nodes gives a budget verdict instead
   chain           replay an explicit derivation: each step names a rule, a
                   position, a direction, and the resulting term; backward
                   steps are verified by running the rule forward from the
@@ -69,6 +70,7 @@ from .terms import (
     alpha_eq,
     app,
     free_vars,
+    occurrences,
     pos_from_str,
     replace_at,
     substitute,
@@ -249,46 +251,6 @@ def _fresh_args(n: int, avoid: frozenset[str]) -> list[Term]:
     return out
 
 
-def _compare_sides(check: EquationCheck, lhs: Term, rhs: Term, rules: RuleSet,
-                   max_steps: int) -> CheckReport:
-    lt = normalize(lhs, rules, max_steps)
-    rt = normalize(rhs, rules, max_steps)
-    base = dict(name=check.name, mode=check.mode, expect=check.expect,
-                title=check.title, lhs_nf=lt.final, rhs_nf=rt.final,
-                lhs_trace=lt, rhs_trace=rt)
-    if lt.status == BUDGET_EXHAUSTED or rt.status == BUDGET_EXHAUSTED:
-        side = "lhs" if lt.status == BUDGET_EXHAUSTED else "rhs"
-        return CheckReport(verdict="budget",
-                           detail=f"{side} ran out of budget", **base)
-    equal = alpha_eq(lt.final, rt.final)
-    want_equal = check.expect == "equal"
-    if equal == want_equal:
-        detail = ("both sides reach " + format_term(lt.final) if equal else
-                  "sides stay apart, as recorded")
-        return CheckReport(verdict="pass", detail=detail, **base)
-    detail = (f"normal forms differ: {format_term(lt.final)} vs "
-              f"{format_term(rt.final)}" if not equal else
-              "sides unexpectedly meet at " + format_term(lt.final))
-    return CheckReport(verdict="fail", detail=detail, **base)
-
-
-def check_extensional(check: EquationCheck, rules: RuleSet,
-                      max_steps: int = DEFAULT_MAX_STEPS) -> CheckReport:
-    avoid = free_vars(check.lhs) | free_vars(check.rhs)
-    args = _fresh_args(check.arity, avoid)
-    return _compare_sides(check, app(check.lhs, *args), app(check.rhs, *args),
-                          rules, max_steps)
-
-
-def check_instance(check: EquationCheck, rules: RuleSet,
-                   max_steps: int = DEFAULT_MAX_STEPS) -> CheckReport:
-    lhs, rhs = check.lhs, check.rhs
-    for name, value in check.bindings:
-        lhs = substitute(lhs, name, value)
-        rhs = substitute(rhs, name, value)
-    return _compare_sides(check, lhs, rhs, rules, max_steps)
-
-
 def replay_chain(check: EquationCheck, rules: RuleSet) -> CheckReport:
     """Verify a derivation step by step.  A forward step must rewrite the
     current term into the recorded one; a backward step must rewrite the
@@ -334,16 +296,48 @@ def replay_chain(check: EquationCheck, rules: RuleSet) -> CheckReport:
 
 def run_check(check: EquationCheck, rules: RuleSet = FULL,
               max_steps: int = DEFAULT_MAX_STEPS) -> CheckReport:
-    combined = rules.extend(*check.hypotheses)
+    rules = rules.extend(*check.hypotheses)
+    base = dict(name=check.name, mode=check.mode, expect=check.expect,
+                title=check.title)
+    lhs, rhs = check.lhs, check.rhs
     match check.mode:
-        case "extensional":
-            return check_extensional(check, combined, max_steps)
-        case "instance":
-            return check_instance(check, combined, max_steps)
         case "chain":
-            return replay_chain(check, combined)
+            return replay_chain(check, rules)
+        case "extensional":
+            args = _fresh_args(check.arity, free_vars(lhs) | free_vars(rhs))
+            lhs, rhs = app(lhs, *args), app(rhs, *args)
+        case "instance":
+            for name, value in check.bindings:
+                # each free occurrence of name becomes |value| nodes
+                size = max(s._size + occurrences(name, s) * (value._size - 1)
+                           for s in (lhs, rhs))
+                if size > DEFAULT_MAX_SIZE:
+                    return CheckReport(
+                        verdict="budget", **base,
+                        detail=f"let {name} would take a side to {size} "
+                               f"nodes, over the size guard of "
+                               f"{DEFAULT_MAX_SIZE}")
+                lhs = substitute(lhs, name, value)
+                rhs = substitute(rhs, name, value)
         case _:
             raise CatalogError(f"check {check.name}: unknown mode {check.mode!r}")
+    lt = normalize(lhs, rules, max_steps)
+    rt = normalize(rhs, rules, max_steps)
+    base.update(lhs_nf=lt.final, rhs_nf=rt.final, lhs_trace=lt, rhs_trace=rt)
+    if lt.status == BUDGET_EXHAUSTED or rt.status == BUDGET_EXHAUSTED:
+        side = "lhs" if lt.status == BUDGET_EXHAUSTED else "rhs"
+        return CheckReport(verdict="budget",
+                           detail=f"{side} ran out of budget", **base)
+    equal = alpha_eq(lt.final, rt.final)
+    want_equal = check.expect == "equal"
+    if equal == want_equal:
+        detail = ("both sides reach " + format_term(lt.final) if equal else
+                  "sides stay apart, as recorded")
+        return CheckReport(verdict="pass", detail=detail, **base)
+    detail = (f"normal forms differ: {format_term(lt.final)} vs "
+              f"{format_term(rt.final)}" if not equal else
+              "sides unexpectedly meet at " + format_term(lt.final))
+    return CheckReport(verdict="fail", detail=detail, **base)
 
 
 def run_checks(checks: list[EquationCheck], rules: RuleSet = FULL,
@@ -389,10 +383,3 @@ def checks_and_rules(checks: list[EquationCheck],
     if not expanded:
         return list(checks), FULL
     return [e for c in checks if (e := expand_check(c)) is not None], CL_BASE
-
-
-def run_core_suite(max_steps: int = DEFAULT_MAX_STEPS,
-                    expanded: bool = False) -> list[CheckReport]:
-    """Run the built-in catalog, as `clsh check [--expanded]` does."""
-    checks, rules = checks_and_rules(builtin_catalog(), expanded)
-    return run_checks(checks, rules, max_steps)

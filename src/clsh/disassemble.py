@@ -24,7 +24,7 @@ from functools import cache
 
 from .rewrite import DEFAULT_MAX_SIZE
 from .syntax import parse
-from .terms import App, Atom, Lam, Term, Var, fold, free_vars
+from .terms import App, Atom, Lam, Term, Var, fold, free_vars, occurrences
 
 
 class NestedLambdaError(ValueError):
@@ -75,9 +75,7 @@ def compile_term(t: Term, use_eta: bool = False) -> Term:
         else:
             if total + 2 * b._size - 1 > DEFAULT_MAX_SIZE:
                 # \x.b has 3|b| - 2 occ(x, b) nodes, where it had 1 + |b|
-                occ = fold(b, lambda v: int(type(v) is Var and v.name == x),
-                           lambda n, f, a: f + a, _nested_lambda)
-                size = total + 2 * b._size - 2 * occ - 1
+                size = total + 2 * b._size - 2 * occurrences(x, b) - 1
                 if size > DEFAULT_MAX_SIZE:
                     raise TermTooLargeError(
                         f"compiling \\{x} would take the output to {size} "

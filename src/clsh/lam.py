@@ -34,7 +34,8 @@ def beta_normalize_fast(t: Term, max_steps: int = DEFAULT_MAX_STEPS,
     hands control back up, normalizing arguments left to right.  Subtrees
     already in normal form are remembered by identity, which matters because
     substitution duplicates arguments as shared subterms.  The size guard
-    (max_size nodes) reads the sizes every node carries from construction.
+    (max_size nodes) reads the sizes every node carries from construction,
+    only after a step, as rewrite.normalize's does.
     """
     seen: dict[int, Term] = {}
     frames: list[tuple[str, object]] = []

@@ -582,7 +582,9 @@ def normalize(t: Term, rules: RuleSet, max_steps: int = DEFAULT_MAX_STEPS,
     move of the Trace; its steps are built from the moves when first read.
     Stops with BUDGET_EXHAUSTED when max_steps reductions have fired and a
     redex is still present, or when the term outgrows max_size nodes; the
-    step that outgrew it is recorded."""
+    step that outgrew it is recorded.  The guard is read only after a step,
+    by intent: a term that starts over max_size is not refused; a normal
+    form comes back as it is, any other term stops after one step."""
     moves: list[_Move] = []
     final, _, status = _machine(strategy)(t, rules, max_steps, max_size,
                                           moves.append)

@@ -299,6 +299,12 @@ def _bind_var(n: Lam, b: frozenset[str]) -> frozenset[str]:
     return b - {n.binder}
 
 
+def occurrences(x: str, t: Term) -> int:
+    """How many times the variable x occurs free in t."""
+    return fold(t, lambda n: int(type(n) is Var and n.name == x),
+                lambda n, f, a: f + a, lambda n, b: 0 if n.binder == x else b)
+
+
 def fresh_var(avoid: set[str] | frozenset[str], hint: str = "v") -> str:
     """Deterministic fresh name: hint, hint1, hint2, ... first not in avoid."""
     if hint not in avoid:

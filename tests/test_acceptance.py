@@ -15,7 +15,7 @@ criterion:
 import random
 import time
 
-from clsh.checks import builtin_catalog, run_core_suite
+from clsh.checks import builtin_catalog, checks_and_rules, run_checks
 from clsh.cli import EXIT_CHECK_FAILED, main
 from clsh.disassemble import DERIVED_NAMES, lambda_definition
 from clsh.lam import beta_normalize_fast
@@ -40,7 +40,7 @@ def report(num: int, slug: str, ok: bool, extra: str = "") -> None:
 
 def test_criterion_1_builtin_suite():
     t0 = time.perf_counter()
-    reports = run_core_suite(max_steps=10_000)
+    reports = run_checks(*checks_and_rules(builtin_catalog(), False), 10_000)
     elapsed = time.perf_counter() - t0
     failed = [r.name for r in reports if not r.ok]
     names = {c.name for c in builtin_catalog()}

@@ -12,7 +12,6 @@ from clsh.checks import (
     load_catalog,
     run_check,
     run_checks,
-    run_core_suite,
 )
 from clsh.rewrite import CL_BASE, DEFAULT_MAX_SIZE, FULL
 from clsh.syntax import parse
@@ -138,6 +137,11 @@ class TestModes:
         assert "ran out of budget" in r.detail
         assert not r.ok
 
+    def test_unknown_mode(self):
+        c = EquationCheck("odd", "bogus", parse("a"), parse("a"))
+        with pytest.raises(CatalogError, match="check odd: unknown mode 'bogus'"):
+            run_check(c, FULL)
+
     def test_hypotheses_are_local(self):
         text = ("check hyp-used\nmode extensional 1\nhyp collapse: W x => I\n"
                 "lhs W a\nrhs I\n")
@@ -196,9 +200,14 @@ class TestChains:
         assert "does not match" in r.detail
 
 
+def _builtin_reports(expanded=False):
+    """The reports `clsh check [--expanded]` prints."""
+    return run_checks(*checks_and_rules(builtin_catalog(), expanded))
+
+
 class TestBuiltinSuite:
     def test_all_pass(self):
-        reports = run_core_suite()
+        reports = _builtin_reports()
         assert len(reports) >= 12
         bad = [r for r in reports if not r.ok]
         assert bad == []
@@ -208,19 +217,19 @@ class TestBuiltinSuite:
         assert modes == {"extensional", "instance", "chain"}
 
     def test_chains_record_steps(self):
-        chains = [r for r in run_core_suite()
+        chains = [r for r in _builtin_reports()
                   if r.mode == "chain"]
         assert chains and all(r.steps for r in chains)
 
     def test_report_json(self):
-        blob = run_core_suite()[0].to_json()
+        blob = _builtin_reports()[0].to_json()
         assert blob["verdict"] == "pass"
         assert set(blob) >= {"name", "mode", "verdict", "expect", "detail"}
 
 
 class TestExpandedMode:
     def test_all_pass(self):
-        reports = run_core_suite(expanded=True)
+        reports = _builtin_reports(expanded=True)
         assert reports
         assert all(r.ok for r in reports)
 

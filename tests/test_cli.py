@@ -175,6 +175,21 @@ print(code, time.perf_counter() - start, tracemalloc.get_traced_memory()[1])
 """
 
 
+def _check_doubling_lets(tmp_path, k, *flags):
+    """clsh check on a catalog whose k lets each double both sides (x0
+    stands for 2^k copies of xk), run apart under a time bound, so a check
+    without the size guard times out instead of exhausting memory."""
+    lets = "".join(f"let x{i} = x{i + 1} x{i + 1}\n" for i in range(k))
+    f = tmp_path / "lets.eqs"
+    f.write_text(f"check let-doubling\nmode instance\n{lets}"
+                 "lhs K x0 a\nrhs x0\n")
+    return subprocess.run(
+        [sys.executable, "-m", "clsh.cli", "check", "--catalog", str(f),
+         *flags],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": _SRC})
+
+
 def _binders(n):
     """\\x0 x1 … x(n-1). x0"""
     return "\\" + " ".join(f"x{i}" for i in range(n)) + ". x0"
@@ -438,6 +453,22 @@ class TestCheckCommand:
                            "--max-steps", "20")
         assert code == EXIT_BUDGET
         assert "BUDGET" in out
+
+    @pytest.mark.parametrize("k, code", [(14, EXIT_OK), (40, EXIT_BUDGET)])
+    def test_doubling_lets_stop_at_the_size_guard(self, tmp_path, k, code):
+        out = _check_doubling_lets(tmp_path, k)
+        assert out.returncode == code
+        if code == EXIT_BUDGET:
+            assert out.stdout.splitlines()[0] == (
+                "BUDGET let-doubling: let x18 would take a side to 1048579 "
+                "nodes, over the size guard of 1000000")
+
+    def test_doubling_lets_json(self, tmp_path):
+        out = _check_doubling_lets(tmp_path, 40, "--json")
+        assert out.returncode == EXIT_BUDGET
+        [blob] = json.loads(out.stdout)["checks"]
+        assert blob["verdict"] == "budget"
+        assert "lhs_steps" not in blob and "lhs_nf" not in blob
 
     def test_fail_beats_budget(self, capsys, tmp_path):
         f = tmp_path / "mixed.eqs"

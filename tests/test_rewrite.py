@@ -39,6 +39,7 @@ from clsh.rewrite import (
     parse_rules,
 )
 from clsh.disassemble import compile_term
+from clsh.lam import beta_normalize_fast
 from clsh.syntax import format_term, parse
 from clsh.terms import (App, Atom, Var, app, pos_to_str, positions, replace_at,
                         subterm_at, term_size)
@@ -468,6 +469,24 @@ class TestTraces:
         assert tr.nsteps < 20
         assert term_size(tr.final) > 50
         assert tr.steps[-1].result == tr.final
+
+    @pytest.mark.parametrize("engine, redex", [
+        (partial(normalize_fast, rules=FULL, strategy="lo"), "K (K a b) c d"),
+        (partial(normalize_fast, rules=FULL, strategy="ri"), "K (K a b) c d"),
+        (beta_normalize_fast, r"(\y. y) (\z. z) a b"),
+    ], ids=["lo", "ri", "beta"])
+    @pytest.mark.parametrize("has_redex", [False, True])
+    def test_size_guard_is_read_only_after_a_step(self, engine, redex,
+                                                  has_redex):
+        # a term over the guard is not refused: a normal form comes back
+        # as it is, and a term with a redex stops after its first step
+        t = parse(redex if has_redex else "x a b c d")
+        assert term_size(t) > 3
+        final, steps, status = engine(t, max_size=3)
+        if has_redex:
+            assert (steps, status) == (1, BUDGET_EXHAUSTED)
+        else:
+            assert (final, steps, status) == (t, 0, NORMAL_FORM)
 
 
 class TestDeepTerms:

@@ -6,7 +6,7 @@ import pickle
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clsh.terms import (
@@ -20,6 +20,7 @@ from clsh.terms import (
     fold,
     free_vars,
     fresh_var,
+    occurrences,
     pos_from_str,
     pos_to_str,
     positions,
@@ -212,6 +213,16 @@ class TestRepr:
             head * DEEP + f"Var(name='{leaf}')" + tail * DEEP)
 
 
+# names from a pool of three, so binders often shadow x or capture a free
+# variable of the replacement
+_FEW = st.sampled_from(("x", "y", "z"))
+_few_terms = st.recursive(
+    _FEW.map(Var) | st.just(Atom("K")),
+    lambda c: st.builds(App, c, c) | st.builds(Lam, _FEW, c),
+    max_leaves=20,
+)
+
+
 class TestSubstitute:
     def test_plain(self):
         t = App(Var("x"), Var("y"))
@@ -242,6 +253,16 @@ class TestSubstitute:
             assert after == (before - {x}) | free_vars(s)
         else:
             assert after == before
+
+    # the size checks.run_check predicts before substituting a `let`
+    @given(_few_terms, _few_terms)
+    @example(Lam("x", App(Var("x"), Var("x"))), App(Var("y"), Var("y")))
+    @example(Lam("y", App(Var("x"), Var("y"))), App(Var("y"), Var("y")))
+    def test_size_after_substitution(self, t, v):
+        # x under a binder of x is not counted; renaming a binder to avoid
+        # capture keeps the size
+        assert substitute(t, "x", v)._size == (
+            t._size + occurrences("x", t) * (v._size - 1))
 
 
 class TestAlphaEq:
